@@ -1,0 +1,7 @@
+"""Make the benchmark modules and the checkout's pathgm importable."""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(os.path.dirname(BENCH), "src"), BENCH]
