@@ -64,7 +64,6 @@ from .structures import (
     is_hamiltonian_path,
     load_graph,
     path_from_parent_map,
-    path_to_parent_map,
     write_graph,
 )
 from .tree_learn import (
@@ -118,7 +117,6 @@ __all__ = [
     "local_score_ml",
     "path_from_parent_map",
     "path_score",
-    "path_to_parent_map",
     "score_structure",
     "solve_path_brute",
     "solve_path_exact",

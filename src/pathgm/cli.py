@@ -22,7 +22,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from . import __version__
 from .dataset import load_dataset, write_dataset
 from .errors import FormatError, PathgmError
-from .path_learn import solve_path_exact, solve_path_heuristic
+from .path_learn import EXACT_DEFAULT_LIMIT, solve_path_exact, solve_path_heuristic
 from .reduction import decide_hp, generate_reduction, verify_reduction
 from .scoring import Criterion, local_score, score_structure
 from .structures import Branching, PathStructure, load_graph
@@ -33,7 +33,10 @@ _ALL_CRITERIA = (Criterion.ML, Criterion.MDL, Criterion.BAYES)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one invocation needs, resolved from the command line."""
+    """Everything one invocation needs, resolved from the command line.
+
+    The field defaults are the command-line defaults.
+    """
 
     command: str
     criteria: Tuple[Criterion, ...]
@@ -44,7 +47,7 @@ class RunConfig:
     data_out: Optional[str] = None
     connected: bool = False
     method: str = "exact"
-    exact_limit: int = 20
+    exact_limit: int = EXACT_DEFAULT_LIMIT
     restarts: int = 8
     seed: int = 0
 
@@ -100,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="exact",
         help="exact refuses instances above --exact-limit (default: exact)",
     )
-    p.add_argument("--exact-limit", type=int, default=20)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--exact-limit", type=int, default=RunConfig.exact_limit)
+    p.add_argument("--restarts", type=int, default=RunConfig.restarts)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     add_common(p, "ml")
 
     p = sub.add_parser(
@@ -126,31 +129,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="decide Hamiltonian-path existence via optimal path learning",
     )
     p.add_argument("--graph", required=True, help="graph file")
-    p.add_argument("--exact-limit", type=int, default=20)
+    p.add_argument("--exact-limit", type=int, default=RunConfig.exact_limit)
     add_common(p, "all")
 
     return parser
 
 
 def _to_config(ns: argparse.Namespace) -> RunConfig:
-    criterion = getattr(ns, "criterion", "all")
+    """Options a subcommand does not define keep their RunConfig defaults."""
+    options = dict(vars(ns))
+    criterion = options.pop("criterion", "all")
     criteria = (
         _ALL_CRITERIA if criterion == "all" else (Criterion(criterion),)
     )
-    return RunConfig(
-        command=ns.command,
-        criteria=criteria,
-        data=getattr(ns, "data", None),
-        graph=getattr(ns, "graph", None),
-        structure=getattr(ns, "structure", None),
-        output=getattr(ns, "output", None),
-        data_out=getattr(ns, "data_out", None),
-        connected=getattr(ns, "connected", False),
-        method=getattr(ns, "method", "exact"),
-        exact_limit=getattr(ns, "exact_limit", 20),
-        restarts=getattr(ns, "restarts", 8),
-        seed=getattr(ns, "seed", 0),
-    )
+    return RunConfig(criteria=criteria, **options)
 
 
 def _sha256(path: str) -> str:
@@ -181,10 +173,14 @@ def _load_structure(source: str):
         raise FormatError(f"{source}: not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise FormatError(f"{source}: expected a JSON object")
-    if "order" in doc:
-        return PathStructure(tuple(doc["order"])), source
-    if "parent" in doc:
-        return Branching(tuple(doc["parent"])), source
+    for key, kind in (("order", PathStructure), ("parent", Branching)):
+        if key in doc:
+            try:
+                return kind(tuple(doc[key])), source
+            except (TypeError, ValueError):
+                raise FormatError(
+                    f"{source}: {key!r} must be a list of vertex indices"
+                )
     raise FormatError(f"{source}: structure JSON needs 'order' or 'parent'")
 
 
@@ -244,6 +240,8 @@ def _run_learn_tree(cfg: RunConfig) -> dict:
 
 
 def _run_learn_path(cfg: RunConfig) -> dict:
+    if cfg.method == "heuristic" and cfg.restarts < 1:
+        raise FormatError(f"--restarts must be at least 1, got {cfg.restarts}")
     data = load_dataset(cfg.data)
     reports = []
     for criterion in cfg.criteria:

@@ -1,9 +1,9 @@
 """Discrete complete-data datasets and their sufficient statistics.
 
 A dataset is a fixed roster of categorical variables with declared
-cardinalities plus a case matrix of value indices. All scoring reduces to
-counts of (target value, parent configuration) pairs, so the dataset owns a
-small cache of those count tables keyed by the query.
+cardinalities plus a read-only case matrix of value indices. All scoring
+reduces to counts of (target value, parent configuration) pairs, which
+``compute_stats`` tallies from the cases on each query.
 
 CSV layout: a header row of variable names, an optional second line
 ``#card:r1,r2,...`` declaring cardinalities, then one row of integers per
@@ -14,8 +14,7 @@ largest observed value (1 for a column with no cases).
 from __future__ import annotations
 
 import csv
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence, TextIO, Tuple, Union
 
 import numpy as np
@@ -31,18 +30,12 @@ class DiscreteDataset:
 
     ``cases`` is an (N, n) integer array; entry (c, i) is the value index of
     variable i in case c and must lie in ``range(cardinalities[i])``. The
-    array is made read-only so cached statistics stay valid.
+    array is made read-only, so a dataset never changes once built.
     """
 
     variable_names: Tuple[str, ...]
     cardinalities: Tuple[int, ...]
     cases: np.ndarray
-    _stats_cache: Dict[tuple, "SufficientStats"] = field(
-        default_factory=dict, init=False, repr=False
-    )
-    _cache_lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         self.variable_names = tuple(self.variable_names)
@@ -121,9 +114,9 @@ def compute_stats(
 ) -> SufficientStats:
     """Return sufficient statistics for ``target`` given ``parents``.
 
-    Results are cached on the dataset under the sorted parent tuple; a query
-    with parents in a different order reuses the cached table and relabels
-    its configurations.
+    Configurations list parent values in the order ``parents`` gives them.
+    Each case gets one mixed-radix int64 key over (target, parents...), so
+    sorting the keys sorts the (value, configuration) tuples.
     """
     parents = tuple(int(p) for p in parents)
     target = int(target)
@@ -138,31 +131,24 @@ def compute_stats(
     if len(set(parents)) != len(parents):
         raise InvalidQueryError(f"duplicate parent in {parents}")
 
-    key = (target, tuple(sorted(parents)))
-    with data._cache_lock:
-        stats = data._stats_cache.get(key)
-    if stats is None:
-        stats = _tally(data, target, key[1])
-        with data._cache_lock:
-            data._stats_cache.setdefault(key, stats)
-            stats = data._stats_cache[key]
-    if parents == key[1]:
-        return stats
-    return _reorder(stats, parents)
-
-
-def _tally(
-    data: DiscreteDataset, target: int, parents: Tuple[int, ...]
-) -> SufficientStats:
     columns = (target,) + parents
-    sub = data.cases[:, columns]
-    joint: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-    if sub.shape[0]:
-        rows, counts = np.unique(sub, axis=0, return_counts=True)
-        # np.unique sorts rows lexicographically, so insertion order is
-        # already sorted by (value, configuration).
-        for row, count in zip(rows.tolist(), counts.tolist()):
-            joint[(row[0], tuple(row[1:]))] = count
+    key = np.zeros(data.num_cases, dtype=np.int64)
+    span = 1  # every key lies in range(span)
+    for col in columns:
+        card = data.cardinalities[col]
+        if span * card > 1 << 63:
+            # The next digit would overflow int64: replace the keys by their
+            # ranks, which keep the same order.
+            distinct, key = np.unique(key, return_inverse=True)
+            span = len(distinct)
+        key = key * card + data.cases[:, col]
+        span *= card
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    rows = data.cases[np.ix_(first, columns)]
+    joint: Dict[Tuple[int, Tuple[int, ...]], int] = {
+        (row[0], tuple(row[1:])): count
+        for row, count in zip(rows.tolist(), counts.tolist())
+    }
     accum: Dict[Tuple[int, ...], int] = {}
     for (_, config), count in joint.items():
         accum[config] = accum.get(config, 0) + count
@@ -173,25 +159,6 @@ def _tally(
         joint_counts=joint,
         parent_counts=parent_counts,
         case_count=data.num_cases,
-    )
-
-
-def _reorder(stats: SufficientStats, parents: Tuple[int, ...]) -> SufficientStats:
-    perm = tuple(stats.parents.index(p) for p in parents)
-    joint = {
-        (value, tuple(config[i] for i in perm)): count
-        for (value, config), count in stats.joint_counts.items()
-    }
-    parent_counts = {
-        tuple(config[i] for i in perm): count
-        for config, count in stats.parent_counts.items()
-    }
-    return SufficientStats(
-        target=stats.target,
-        parents=parents,
-        joint_counts=dict(sorted(joint.items())),
-        parent_counts=dict(sorted(parent_counts.items())),
-        case_count=stats.case_count,
     )
 
 
@@ -284,21 +251,17 @@ def _parse_csv(handle: TextIO, origin: str) -> DiscreteDataset:
             continue
         consume(row, reader.line_num)
 
-    if declared is None:
-        if rows:
-            matrix = np.asarray(rows, dtype=np.int64)
-            declared = tuple(int(matrix[:, i].max()) + 1 for i in range(n))
-        else:
-            declared = tuple(1 for _ in range(n))
     matrix = np.asarray(rows, dtype=np.int64).reshape(len(rows), n)
+    if declared is None:
+        declared = _observed_cards(matrix)
     return DiscreteDataset(tuple(names), declared, matrix)
 
 
-def _inferred_cards(cases: np.ndarray) -> Tuple[int, ...]:
-    n = cases.shape[1]
+def _observed_cards(cases: np.ndarray) -> Tuple[int, ...]:
+    """One plus the largest value per column; 1 for a column with no cases."""
     if cases.shape[0] == 0:
-        return tuple(1 for _ in range(n))
-    return tuple(int(cases[:, i].max()) + 1 for i in range(n))
+        return (1,) * cases.shape[1]
+    return tuple(int(top) + 1 for top in cases.max(axis=0))
 
 
 def write_dataset(data: DiscreteDataset, dest: Union[str, TextIO]) -> None:
@@ -317,7 +280,7 @@ def write_dataset(data: DiscreteDataset, dest: Union[str, TextIO]) -> None:
 def _emit_csv(data: DiscreteDataset, handle: TextIO) -> None:
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(data.variable_names)
-    if data.cardinalities != _inferred_cards(data.cases):
+    if data.cardinalities != _observed_cards(data.cases):
         first = f"{_CARD_PREFIX}{data.cardinalities[0]}"
         writer.writerow([first] + [str(c) for c in data.cardinalities[1:]])
     for row in data.cases.tolist():

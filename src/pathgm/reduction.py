@@ -33,10 +33,10 @@ from .errors import (
     InvalidQueryError,
     ReductionMismatchError,
 )
-from .path_learn import PathSearchResult, solve_path_exact
-from .scoring import Criterion, CriterionLike, local_score
+from .path_learn import EXACT_DEFAULT_LIMIT, PathSearchResult, solve_path_exact
+from .scoring import Criterion, CriterionLike
 from .structures import HpInstance
-from .tree_learn import build_weights
+from .tree_learn import WeightMatrix, build_weights
 
 # Value patterns for the paired variables across a pair's 8 cases.
 EDGE_BLOCK: Tuple[Tuple[int, int], ...] = (
@@ -180,18 +180,26 @@ def verify_reduction(
     separately, since arbitrary user data need not match them to satisfy
     the score conditions.
     """
-    criterion = Criterion(criterion)
     n = g.vertex_count
     if data.num_variables != n:
         raise InvalidQueryError(
             f"dataset has {data.num_variables} variables, graph has {n} vertices"
         )
-    marginals = [local_score(criterion, data, v, ()) for v in range(n)]
-    pair: Dict[Tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                pair[(i, j)] = local_score(criterion, data, j, (i,))
+    return _measure(data, g, build_weights(criterion, data))
+
+
+def _measure(
+    data: DiscreteDataset, g: HpInstance, weights: WeightMatrix
+) -> ReductionReport:
+    """``verify_reduction`` on the no-parent and single-parent scores in
+    ``weights``, which must have been built from ``data``."""
+    criterion = weights.criterion
+    n = g.vertex_count
+    marginals = weights.root.tolist()
+    arc = weights.arc.tolist()
+    pair: Dict[Tuple[int, int], float] = {
+        (i, j): arc[i][j] for i in range(n) for j in range(n) if i != j
+    }
     scale = max(
         [1.0]
         + [abs(x) for x in marginals]
@@ -309,7 +317,9 @@ class HpDecision:
 
 
 def decide_hp(
-    g: HpInstance, criterion: CriterionLike, exact_limit: int = 20
+    g: HpInstance,
+    criterion: CriterionLike,
+    exact_limit: int = EXACT_DEFAULT_LIMIT,
 ) -> HpDecision:
     """Decide Hamiltonian-path existence through the reduction.
 
@@ -319,9 +329,9 @@ def decide_hp(
     (optimal score within tolerance of k); disagreement raises, since on
     generated data it would mean a broken invariant.
     """
-    criterion = Criterion(criterion)
     data = generate_reduction(g)
-    report = verify_reduction(data, g, criterion)
+    weights = build_weights(criterion, data)
+    report = _measure(data, g, weights)
     if not (report.all_conditions_passed() and report.count_table_ok):
         failed = [
             name for name, check in report.conditions.items() if not check.passed
@@ -334,7 +344,6 @@ def decide_hp(
         return HpDecision(
             has_path=False, witness=None, report=report, search=None
         )
-    weights = build_weights(criterion, data)
     search = solve_path_exact(weights, limit=exact_limit)
     order = search.best_path.order
     structural = all(g.has_edge(u, v) for u, v in zip(order, order[1:]))

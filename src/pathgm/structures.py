@@ -151,11 +151,6 @@ class HpInstance:
         return tuple(sorted(out))
 
 
-def path_to_parent_map(path: PathStructure) -> Tuple[Tuple[int, ...], ...]:
-    """Parent set per variable induced by a path; root gets the empty set."""
-    return path.parent_sets()
-
-
 def path_from_parent_map(
     parent_sets: Sequence[Sequence[int]],
 ) -> Optional[PathStructure]:

@@ -34,6 +34,14 @@ def run_json(capsys, argv):
     return json.loads(captured.out)
 
 
+def assert_one_line_error(capsys, code, expected_code):
+    captured = capsys.readouterr()
+    assert code == expected_code
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+
+
 class TestScore:
     def test_inline_path(self, capsys, data_file):
         doc = run_json(
@@ -220,6 +228,18 @@ class TestPlumbing:
         path.write_text("3 1\n0 9\n", encoding="utf-8")
         code = main(["decide-hp", "--graph", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize("body", ['{"order": ["x", 1, 2]}', '{"parent": 5}'])
+    def test_malformed_structure_json(self, capsys, tmp_path, data_file, body):
+        path = tmp_path / "structure.json"
+        path.write_text(body, encoding="utf-8")
+        code = main(["score", "--data", data_file, "--structure", str(path)])
+        assert_one_line_error(capsys, code, 2)
+
+    def test_zero_restarts(self, capsys, data_file):
+        code = main(["learn-path", "--data", data_file, "--method", "heuristic",
+                     "--restarts", "0"])
+        assert_one_line_error(capsys, code, 2)
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2

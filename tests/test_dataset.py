@@ -144,6 +144,81 @@ class TestCsvIo:
             _load_text("A,B\n#card:0,2\n0,0\n")
 
 
+def _oracle_stats(data, target, parents):
+    """Reference tally: np.unique over the (target, parents...) rows."""
+    joint = {}
+    if data.num_cases:
+        rows, counts = np.unique(
+            data.cases[:, (target,) + tuple(parents)], axis=0, return_counts=True
+        )
+        for row, count in zip(rows.tolist(), counts.tolist()):
+            joint[(row[0], tuple(row[1:]))] = count
+    totals = {}
+    for (_, config), count in joint.items():
+        totals[config] = totals.get(config, 0) + count
+    return joint, dict(sorted(totals.items()))
+
+
+def _assert_matches_oracle(data, target, parents):
+    stats = compute_stats(data, target, parents)
+    joint, totals = _oracle_stats(data, target, parents)
+    assert stats.parents == tuple(parents)
+    assert list(stats.joint_counts.items()) == list(joint.items())
+    assert list(stats.parent_counts.items()) == list(totals.items())
+    assert stats.case_count == data.num_cases
+
+
+def _wide_dataset(rng, num_vars, card):
+    """Repeated random rows, each also present with its last column changed,
+    so the tally must tell apart configurations that differ in one digit."""
+    patterns = [[rng.randrange(card) for _ in range(num_vars)] for _ in range(40)]
+    rows = []
+    for row in patterns:
+        twin = row[:-1] + [(row[-1] + 1) % card]
+        rows.extend([row] * rng.randint(1, 3) + [twin])
+    rng.shuffle(rows)
+    names = tuple(f"V{i}" for i in range(num_vars))
+    return DiscreteDataset(names, (card,) * num_vars, rows)
+
+
+class TestStatsDifferential:
+    def test_random_queries_match_oracle(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            data = random_dataset(rng, max_cases=120)
+            n = data.num_variables
+            target = rng.randrange(n)
+            others = [v for v in range(n) if v != target]
+            parents = rng.sample(others, rng.randint(0, min(3, len(others))))
+            _assert_matches_oracle(data, target, parents)
+
+    def test_empty_dataset_matches_oracle(self):
+        data = DiscreteDataset(
+            ("A", "B", "C"), (2, 3, 2), np.empty((0, 3), dtype=int)
+        )
+        for target, parents in [(0, ()), (1, (2, 0)), (2, (1,))]:
+            _assert_matches_oracle(data, target, parents)
+        assert compute_stats(data, 1, (2, 0)).parent_counts == {}
+
+    def test_binary_query_wider_than_int64(self):
+        # 2**70 configurations: the case key must be re-ranked on the way.
+        rng = random.Random(3)
+        data = _wide_dataset(rng, 70, 2)
+        parents = list(range(1, 70))
+        _assert_matches_oracle(data, 0, parents)
+        rng.shuffle(parents)
+        _assert_matches_oracle(data, 0, parents)
+
+    def test_ternary_query_wider_than_int64(self):
+        # 3**46 configurations would wrap a plain int64 key.
+        rng = random.Random(4)
+        data = _wide_dataset(rng, 46, 3)
+        parents = [v for v in range(46) if v != 45]
+        _assert_matches_oracle(data, 45, parents)
+        rng.shuffle(parents)
+        _assert_matches_oracle(data, 45, parents)
+
+
 class TestStats:
     def test_exact_tallies(self):
         data = DiscreteDataset(
@@ -209,12 +284,6 @@ class TestStats:
             for (v, c), count in ab.joint_counts.items()
         }
         assert flipped == ba.joint_counts
-
-    def test_cache_returns_same_object_for_sorted_query(self):
-        data = DiscreteDataset(("A", "B"), (2, 2), [[0, 1], [1, 0]])
-        first = compute_stats(data, 1, (0,))
-        second = compute_stats(data, 1, (0,))
-        assert first is second
 
     def test_self_parent_rejected(self):
         data = DiscreteDataset(("A", "B"), (2, 2), [[0, 1]])

@@ -14,7 +14,6 @@ from pathgm import (
     is_hamiltonian_path,
     load_graph,
     path_from_parent_map,
-    path_to_parent_map,
     write_graph,
 )
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
@@ -24,7 +23,6 @@ class TestPathStructure:
     def test_parent_sets_by_variable(self):
         path = PathStructure((2, 0, 1))
         assert path.parent_sets() == ((2,), (0,), ())
-        assert path_to_parent_map(path) == ((2,), (0,), ())
 
     def test_single_vertex(self):
         path = PathStructure((0,))
@@ -48,7 +46,7 @@ class TestPathStructure:
             order = list(range(n))
             rng.shuffle(order)
             path = PathStructure(tuple(order))
-            assert path_from_parent_map(path_to_parent_map(path)) == path
+            assert path_from_parent_map(path.parent_sets()) == path
 
     def test_rejects_non_permutations(self):
         with pytest.raises(InvalidStructureError):
