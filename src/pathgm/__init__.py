@@ -31,7 +31,6 @@ from .errors import (
 from .path_learn import (
     PathSearchResult,
     path_score,
-    solve_path_brute,
     solve_path_exact,
     solve_path_heuristic,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "path_from_parent_map",
     "path_score",
     "score_structure",
-    "solve_path_brute",
     "solve_path_exact",
     "solve_path_heuristic",
     "verify_reduction",

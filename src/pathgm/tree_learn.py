@@ -40,7 +40,8 @@ class WeightMatrix:
     """Per-vertex root weights and per-arc weights for one criterion.
 
     ``arc[u, v]`` is the local score of v with single parent u; the
-    diagonal is -inf and never read.
+    diagonal is -inf and never read. Weights may be -inf (forbidden) but
+    not NaN or +inf.
     """
 
     criterion: Criterion
@@ -59,6 +60,10 @@ class WeightMatrix:
             )
         arc = arc.copy()
         np.fill_diagonal(arc, -np.inf)
+        # -inf forbids a root or an arc; NaN and +inf have no meaning as a
+        # score, and the path heuristic's screen relies on their absence.
+        if not ((root < np.inf).all() and (arc < np.inf).all()):
+            raise InvalidStructureError("weights must not be NaN or +inf")
         root.setflags(write=False)
         arc.setflags(write=False)
         object.__setattr__(self, "root", root)

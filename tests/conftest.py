@@ -19,6 +19,23 @@ def random_dataset(rng, num_vars=None, min_card=2, max_card=4, max_cases=200,
     return DiscreteDataset(names, cards, rows)
 
 
+def tree_dataset(seed, num_vars, num_cases=300, max_card=3):
+    """Rows sampled from a hidden random tree: each variable copies a
+    parent placed before it, replaced by uniform noise in 30% of rows."""
+    gen = np.random.default_rng(seed)
+    cards = gen.integers(2, max_card + 1, size=num_vars)
+    rows = np.empty((num_cases, num_vars), dtype=np.int64)
+    order = gen.permutation(num_vars)
+    rows[:, order[0]] = gen.integers(0, cards[order[0]], size=num_cases)
+    for k in range(1, num_vars):
+        v, parent = order[k], order[gen.integers(0, k)]
+        noise = gen.integers(0, cards[v], size=num_cases)
+        rows[:, v] = np.where(gen.random(num_cases) < 0.3, noise,
+                              rows[:, parent] % cards[v])
+    names = tuple(f"V{i}" for i in range(num_vars))
+    return DiscreteDataset(names, tuple(int(c) for c in cards), rows)
+
+
 def random_graph(rng, n, p=None):
     if p is None:
         p = rng.uniform(0.15, 0.9)

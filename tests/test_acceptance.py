@@ -27,7 +27,6 @@ from pathgm import (
     local_score_mdl,
     local_score_ml,
     score_structure,
-    solve_path_brute,
     solve_path_exact,
     solve_path_heuristic,
     verify_reduction,
@@ -40,6 +39,7 @@ from conftest import (
     random_graph,
     star_graph,
 )
+from reference import solve_path_brute
 from test_scoring import bayes_rational_oracle
 
 ALL_CRITERIA = (Criterion.ML, Criterion.MDL, Criterion.BAYES)

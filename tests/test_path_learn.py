@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathgm import (
     Criterion,
@@ -14,11 +16,12 @@ from pathgm import (
     learn_optimal_branching,
     path_score,
     score_structure,
-    solve_path_brute,
     solve_path_exact,
     solve_path_heuristic,
 )
-from conftest import random_dataset
+from conftest import random_dataset, tree_dataset
+from reference import solve_path_brute
+from reference import solve_path_heuristic as reference_heuristic
 
 
 def _random_weights(rng, n, low=-10.0, high=10.0):
@@ -200,3 +203,118 @@ class TestHeuristic:
             exact = solve_path_exact(w)
             heur = solve_path_heuristic(w, restarts=8, seed=0)
             assert heur.best_score <= exact.best_score + 1e-9
+
+
+def _assert_matches_reference(w, restarts, seed):
+    assert solve_path_heuristic(w, restarts, seed) == (
+        reference_heuristic(w, restarts, seed)
+    )
+
+
+def _trials(order):
+    n = len(order)
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                trial = list(order)
+                trial.insert(j, trial.pop(i))
+                yield trial
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            yield order[:i] + order[i:j + 1][::-1] + order[j + 1:]
+
+
+def _plain_score(w, order):
+    total = float(w.root[order[0]])
+    for u, v in zip(order, order[1:]):
+        total += float(w.arc[u, v])
+    return total
+
+
+# Offsets from 1e16, where the float spacing is 2: plain sums lose the
+# units that fsum keeps, so the screen's slack decides what survives.
+NEAR_TIE_ROOT = [2, -3, -2, -2, -2, 2]
+NEAR_TIE_ARC = [
+    [3, 1, -3, -3, -1, 0],
+    [1, 0, -2, -2, 1, 2],
+    [-3, -3, 0, -1, 3, 0],
+    [-1, 0, 1, 1, -2, 2],
+    [2, 3, 2, -2, -1, 1],
+    [1, 1, 3, -1, 3, -3],
+]
+
+
+@st.composite
+def _weight_matrices(draw):
+    n = draw(st.integers(1, 7))
+    value = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    )
+    root = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    arc = np.array(draw(st.lists(
+        st.one_of(value, st.just(-np.inf)), min_size=n * n, max_size=n * n
+    ))).reshape(n, n)
+    # Keep one path finite so some local search ends above -inf.
+    chain = (np.arange(n - 1), np.arange(1, n))
+    arc[chain] = np.nan_to_num(arc[chain], neginf=0.0)
+    return WeightMatrix(Criterion.ML, root, arc)
+
+
+class TestHeuristicMatchesReference:
+    """The screened search returns exactly what scoring every move would."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 24])
+    def test_tree_data_every_criterion(self, n):
+        data = tree_dataset(seed=n, num_vars=n)
+        for criterion in Criterion:
+            _assert_matches_reference(build_weights(criterion, data), 2, n)
+
+    def test_integer_tie_heavy_weights(self):
+        rng = np.random.default_rng(43)
+        for n in range(2, 11):
+            root = rng.integers(-2, 3, size=n).astype(float)
+            arc = rng.integers(-2, 3, size=(n, n)).astype(float)
+            w = WeightMatrix(Criterion.ML, root, arc)
+            _assert_matches_reference(w, 3, n)
+
+    @pytest.mark.parametrize("value", [0.0, 7.25, -1e300])
+    def test_all_equal_weights(self, value):
+        for n in range(1, 9):
+            w = WeightMatrix(
+                Criterion.ML, np.full(n, value), np.full((n, n), value)
+            )
+            _assert_matches_reference(w, 2, n)
+
+    def test_near_tie_needs_the_slack(self):
+        root = 1e16 + np.array(NEAR_TIE_ROOT, dtype=float)
+        arc = 1e16 + np.array(NEAR_TIE_ARC, dtype=float)
+        w = WeightMatrix(Criterion.ML, root, arc)
+        order = list(range(6))
+        plain, exact = _plain_score(w, order), path_score(w, order)
+        assert any(
+            (_plain_score(w, t) > plain) != (path_score(w, t) > exact)
+            for t in _trials(order)
+        )
+        _assert_matches_reference(w, 2, 0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_deltas_are_kept(self):
+        # Some move deltas overflow to -inf although the move improves and
+        # no exact path score overflows.
+        root = np.array([-1.5e308, -1e308, 1e308])
+        arc = np.array([
+            [0.0, 0.0, 1.5e308],
+            [0.0, 0.0, 1e308],
+            [-1e308, -6e307, 0.0],
+        ])
+        _assert_matches_reference(WeightMatrix(Criterion.ML, root, arc), 1, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        w=_weight_matrices(),
+        restarts=st.integers(1, 3),
+        seed=st.integers(0, 1000),
+    )
+    def test_drawn_matrices(self, w, restarts, seed):
+        _assert_matches_reference(w, restarts, seed)

@@ -79,6 +79,27 @@ class TestWeightMatrix:
         with pytest.raises(InvalidStructureError):
             WeightMatrix(Criterion.ML, np.zeros(3), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nan_and_plus_inf_root(self, bad):
+        root = np.array([0.0, bad, 1.0])
+        with pytest.raises(InvalidStructureError, match="NaN or \\+inf"):
+            WeightMatrix(Criterion.ML, root, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nan_and_plus_inf_arc(self, bad):
+        arc = np.zeros((3, 3))
+        arc[2, 0] = bad
+        with pytest.raises(InvalidStructureError, match="NaN or \\+inf"):
+            WeightMatrix(Criterion.ML, np.zeros(3), arc)
+
+    def test_minus_inf_is_legal_and_diagonal_ignored(self):
+        arc = np.full((3, 3), -np.inf)
+        arc[0, 1] = arc[1, 2] = 1.0
+        np.fill_diagonal(arc, np.nan)
+        w = WeightMatrix(Criterion.ML, np.array([0.0, -np.inf, 2.0]), arc)
+        assert np.all(np.isneginf(np.diag(w.arc)))
+        assert w.arc[1, 2] == 1.0 and np.isneginf(w.arc[2, 0])
+
     def test_branching_score_matches_structure_score(self):
         rng = random.Random(11)
         data = random_dataset(rng, num_vars=5, max_cases=60)
