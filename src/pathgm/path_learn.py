@@ -187,10 +187,7 @@ class _MoveScreen:
         # Gap t lies between ext[t] and ext[t + 1]. A vertex moved from
         # index i to index j lands in gap j below i and gap j + 1 above it.
         self.gap = j + (j >= j[:, None])
-        self.scans = (
-            (self._relocations, j != j[:, None], _relocate),
-            (self._reversals, j > j[:, None], _reverse),
-        )
+        self.legal = (j != j[:, None], j > j[:, None])
 
     def _relocations(self, ext: np.ndarray) -> np.ndarray:
         """[i, j]: change when the vertex at index i moves to index j."""
@@ -224,7 +221,11 @@ class _MoveScreen:
         n = len(order)
         ext = np.array([n, *order, n + 1])
         broken = self.table[ext[:-1], ext[1:]].imag.sum()
-        for deltas, legal, move in self.scans:
+        scans = zip(
+            (self._relocations, self._reversals), self.legal,
+            (_relocate, _reverse),
+        )
+        for deltas, legal, move in scans:
             change = deltas(ext)
             keep = legal & (change.imag == -broken)
             if not broken:
