@@ -24,7 +24,7 @@ from .dataset import load_dataset, write_dataset
 from .errors import FormatError, PathgmError
 from .path_learn import EXACT_DEFAULT_LIMIT, solve_path_exact, solve_path_heuristic
 from .reduction import decide_hp, generate_reduction, verify_reduction
-from .scoring import Criterion, local_score, score_structure
+from .scoring import Criterion, score_structure
 from .structures import Branching, PathStructure, load_graph
 from .tree_learn import build_weights, learn_optimal_branching, learn_optimal_spanning_tree
 
@@ -200,15 +200,11 @@ def _run_score(cfg: RunConfig) -> dict:
     reports = []
     for criterion in cfg.criteria:
         total = score_structure(criterion, data, parent_sets)
-        locals_ = [
-            local_score(criterion, data, v, parent_sets[v])
-            for v in range(data.num_variables)
-        ]
         reports.append(
             {
                 "criterion": criterion.value,
                 "score": total.value,
-                "local_scores": locals_,
+                "local_scores": list(total.local_scores),
             }
         )
     return {

@@ -3,9 +3,12 @@
 A path's score is ``root[first] + sum of arc[prev, next]`` along the order.
 Two solvers:
 
-* ``solve_path_exact``: dynamic program over vertex subsets (state =
-  (visited set, last vertex)), O(2^n * n^2) time and O(2^n * n) memory,
-  refused above a configurable vertex limit.
+* ``solve_path_exact``: the subset dynamic program (Held & Karp 1962) in
+  pull form, ``best[v, S] = max_u best[u, S - {v}] + arc[u, v]``, filled
+  one subset size and one end vertex at a time. O(2^n * n^2) time and one
+  2^n * n float table; refused above a configurable vertex limit. Ties go
+  to the first predecessor u in ascending order, then to the smallest
+  end vertex.
 * ``solve_path_heuristic``: greedy construction from every start vertex
   plus seeded random restarts, polished by first-improvement relocation
   and segment-reversal moves. No optimality guarantee.
@@ -19,7 +22,9 @@ scoring every move in scan order.
 
 Every result carries the optimal-forest score as an upper bound; the gap
 is how far below that bound the returned path landed (0 does not certify
-optimality, since the best forest need not be a path).
+optimality, since the best forest need not be a path). When the best path
+scores -inf, because every path uses a forbidden weight, both solvers
+raise ``InvalidStructureError``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import SolverLimitError
+from .errors import InvalidStructureError, SolverLimitError
 from .structures import PathStructure
 from .tree_learn import WeightMatrix, learn_optimal_branching
 
@@ -67,16 +72,14 @@ def _finish(
     # score_structure on the induced parent map bit for bit; the solver's
     # internal running sums only steer the search.
     score = path_score(weights, order)
+    if score == -np.inf:
+        raise InvalidStructureError("every path scores -inf")
     _, upper = learn_optimal_branching(weights)
     # Paths are a subset of forests, so the bound dominates the score; any
     # negative residue is float noise.
     gap = max(upper - score, 0.0)
     return PathSearchResult(
-        best_path=PathStructure(tuple(int(v) for v in order)),
-        best_score=float(score),
-        upper_bound=float(upper),
-        gap=float(gap),
-        exact=exact,
+        PathStructure(tuple(order)), score, upper, gap, exact
     )
 
 
@@ -90,35 +93,32 @@ def solve_path_exact(
             f"exact path search limited to {limit} vertices, got {n}; "
             "use the heuristic for larger instances"
         )
+    # best[v, S]: best score of a path over the vertex set S that ends at v.
     full = 1 << n
-    dp = np.full((full, n), -np.inf)
-    back = np.full((full, n), -1, dtype=np.int8)
-    for v in range(n):
-        dp[1 << v, v] = weights.root[v]
-    for mask in range(1, full):
-        members = [v for v in range(n) if mask & (1 << v)]
-        if len(members) == n:
-            break
-        # Extend every path ending inside `mask` by one outside vertex.
-        candidates = dp[mask, members][:, None] + weights.arc[members, :]
-        best = candidates.max(axis=0)
-        origin = candidates.argmax(axis=0)
+    best = np.full((n, full), -np.inf)
+    best[range(n), 1 << np.arange(n)] = weights.root
+    masks = np.arange(full)
+    size = sum(masks >> u & 1 for u in range(n))
+    for k in range(2, n + 1):
+        layer = np.flatnonzero(size == k)
         for v in range(n):
-            if mask & (1 << v):
-                continue
-            grown = mask | (1 << v)
-            if best[v] > dp[grown, v]:
-                dp[grown, v] = best[v]
-                back[grown, v] = members[origin[v]]
-    full_mask = full - 1
-    end = int(np.argmax(dp[full_mask]))
-    order: List[int] = []
-    mask, v = full_mask, end
-    while v != -1:
-        order.append(v)
-        prev = int(back[mask, v])
+            grown = layer[(layer >> v) & 1 == 1]
+            prev = grown ^ 1 << v
+            acc = np.full(grown.size, -np.inf)
+            for u in range(n):
+                if u != v:
+                    np.maximum(acc, best[u, prev] + weights.arc[u, v], out=acc)
+            best[v, grown] = acc
+    # Walk back from the best end: each step takes the first predecessor,
+    # in ascending order, that attains the state's value.
+    mask, v = full - 1, int(np.argmax(best[:, -1]))
+    order = [v]
+    while mask != 1 << v:
+        value = best[v, mask]
         mask ^= 1 << v
-        v = prev
+        reach = best[:, mask] + weights.arc[:, v]
+        v = next(u for u in range(n) if mask >> u & 1 and reach[u] == value)
+        order.append(v)
     order.reverse()
     return _finish(weights, order, exact=True)
 
@@ -267,10 +267,9 @@ def solve_path_heuristic(
         rng.shuffle(shuffled)
         starts.append(shuffled)
     screen = _MoveScreen(weights)
-    best_order: List[int] = []
-    best_score = -np.inf
-    for start in starts:
-        order, score = _local_search(screen, list(start))
+    best_order, best_score = _local_search(screen, starts[0])
+    for start in starts[1:]:
+        order, score = _local_search(screen, start)
         if score > best_score:
             best_order, best_score = order, score
     return _finish(weights, best_order, exact=False)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 from .dataset import DiscreteDataset, compute_stats
 from .errors import InvalidStructureError, UndefinedScoreError
@@ -45,10 +45,11 @@ CriterionLike = Union[Criterion, str]
 
 @dataclass(frozen=True)
 class ScoreValue:
-    """A structure score tagged with the criterion that produced it."""
+    """A structure score, its criterion, and one local score per variable."""
 
     value: float
     criterion: Criterion
+    local_scores: Tuple[float, ...]
 
 
 def local_score_ml(
@@ -137,7 +138,7 @@ def score_structure(
                 raise InvalidStructureError(
                     f"variable {i}: parent index {p} out of range [0, {n})"
                 )
-    total = math.fsum(
+    terms = tuple(
         local_score(criterion, data, i, ps) for i, ps in enumerate(sets)
     )
-    return ScoreValue(value=total, criterion=criterion)
+    return ScoreValue(math.fsum(terms), criterion, terms)

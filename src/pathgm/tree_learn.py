@@ -5,8 +5,8 @@ factorizes into one weight per vertex: ``root[v]`` when v has no parent,
 ``arc[u, v]`` when u is its parent. Two learners share the machinery:
 
 * ``learn_optimal_branching``: best forest, solved as a maximum
-  arborescence from a virtual root whose arcs cost 0 against delta
-  weights ``arc[u, v] - root[v]``.
+  arborescence from a virtual root after lowering every arc into v by
+  root[v] where it is finite (a -inf shift gives +inf or NaN deltas).
 * ``learn_optimal_spanning_tree``: best single connected tree, solved by
   running a fixed-root maximum arborescence from every possible root on
   the raw arc weights and keeping the best.
@@ -15,6 +15,8 @@ The arborescence solver is the classic cycle-contraction method: pick the
 best entering arc per vertex, contract any cycle, recurse, then unwrap.
 Ties always keep the first candidate in scan order (virtual root first,
 then arcs by ascending (parent, child)), so results are deterministic.
+Both learners raise ``InvalidStructureError`` when the best structure
+scores -inf.
 """
 
 from __future__ import annotations
@@ -187,20 +189,21 @@ def learn_optimal_branching(weights: WeightMatrix) -> Tuple[Branching, float]:
     """Highest-scoring forest (in-degree at most 1, any number of roots)."""
     n = weights.num_variables
     rho = n
-    arcs: List[_Arc] = [(rho, v, 0.0, None) for v in range(n)]
+    shift = np.where(np.isfinite(weights.root), weights.root, 0.0)
+    arcs: List[_Arc] = [
+        (rho, v, float(weights.root[v] - shift[v]), None) for v in range(n)
+    ]
     for u in range(n):
         for v in range(n):
             if u != v:
-                arcs.append(
-                    (u, v, float(weights.arc[u, v] - weights.root[v]), None)
-                )
+                arcs.append((u, v, float(weights.arc[u, v] - shift[v]), None))
     chosen = _best_arborescence(list(range(n)) + [rho], arcs, rho, n + 1)
-    parent: List[Optional[int]] = [None] * n
-    for v in range(n):
-        if chosen[v][0] != rho:
-            parent[v] = chosen[v][0]
-    branching = Branching(tuple(parent))
-    return branching, weights.branching_score(branching)
+    tails = [chosen[v][0] for v in range(n)]
+    branching = Branching(tuple(None if u == rho else u for u in tails))
+    score = weights.branching_score(branching)
+    if score == -np.inf:
+        raise InvalidStructureError("every forest scores -inf")
+    return branching, score
 
 
 def learn_optimal_spanning_tree(weights: WeightMatrix) -> Tuple[Branching, float]:
@@ -209,26 +212,20 @@ def learn_optimal_spanning_tree(weights: WeightMatrix) -> Tuple[Branching, float
     Tries every root; ties keep the smallest root index.
     """
     n = weights.num_variables
-    if n == 1:
-        return Branching((None,)), float(weights.root[0])
     arcs: List[_Arc] = [
         (u, v, float(weights.arc[u, v]), None)
         for u in range(n)
         for v in range(n)
         if u != v
     ]
-    best_branching: Optional[Branching] = None
-    best_total = -np.inf
+    trees = []
     for r in range(n):
         chosen = _best_arborescence(list(range(n)), list(arcs), r, n)
-        parent: List[Optional[int]] = [None] * n
-        for v in range(n):
-            if v != r:
-                parent[v] = chosen[v][0]
-        candidate = Branching(tuple(parent))
-        total = weights.branching_score(candidate)
-        if total > best_total:
-            best_total = total
-            best_branching = candidate
-    assert best_branching is not None
-    return best_branching, float(best_total)
+        parent = (None if v == r else chosen[v][0] for v in range(n))
+        trees.append(Branching(tuple(parent)))
+    # max keeps the first of equal scores, so the smallest root wins ties.
+    tree = max(trees, key=weights.branching_score)
+    score = weights.branching_score(tree)
+    if score == -np.inf:
+        raise InvalidStructureError("every spanning tree scores -inf")
+    return tree, score

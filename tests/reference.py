@@ -1,9 +1,11 @@
 """Slow reference solvers that the tests compare the package against.
 
-``solve_path_brute`` scores every permutation. ``solve_path_heuristic``
-is the local search that scores every trial move with ``path_score`` in
-scan order: the screened search in ``pathgm.path_learn`` must return an
-identical result.
+``solve_path_brute`` scores every permutation. ``solve_path_exact`` is
+the subset DP in push form, one Python step per mask with a back-pointer
+table: the pull recurrence in ``pathgm.path_learn`` must return an
+identical result. ``solve_path_heuristic`` is the local search that
+scores every trial move with ``path_score`` in scan order: the screened
+search in ``pathgm.path_learn`` must return an identical result.
 """
 
 import itertools
@@ -33,6 +35,46 @@ def solve_path_brute(
         scores += weights.arc[perms[:, :-1], perms[:, 1:]].sum(axis=1)
     idx = int(np.argmax(scores))
     return _finish(weights, perms[idx].tolist(), exact=True)
+
+
+def solve_path_exact(weights: WeightMatrix) -> PathSearchResult:
+    """Subset DP that pushes every (mask, end) state to its successors.
+
+    Each stored predecessor is the first-index argmax over the members
+    of the mask. When no path has a finite score the back pointers are
+    never set, and the walk back returns a one-vertex order.
+    """
+    n = weights.num_variables
+    full = 1 << n
+    dp = np.full((full, n), -np.inf)
+    back = np.full((full, n), -1, dtype=np.int8)
+    for v in range(n):
+        dp[1 << v, v] = weights.root[v]
+    for mask in range(1, full):
+        members = [v for v in range(n) if mask & (1 << v)]
+        if len(members) == n:
+            break
+        candidates = dp[mask, members][:, None] + weights.arc[members, :]
+        best = candidates.max(axis=0)
+        origin = candidates.argmax(axis=0)
+        for v in range(n):
+            if mask & (1 << v):
+                continue
+            grown = mask | (1 << v)
+            if best[v] > dp[grown, v]:
+                dp[grown, v] = best[v]
+                back[grown, v] = members[origin[v]]
+    full_mask = full - 1
+    end = int(np.argmax(dp[full_mask]))
+    order: List[int] = []
+    mask, v = full_mask, end
+    while v != -1:
+        order.append(v)
+        prev = int(back[mask, v])
+        mask ^= 1 << v
+        v = prev
+    order.reverse()
+    return _finish(weights, order, exact=True)
 
 
 def _greedy_order(weights: WeightMatrix, start: int) -> List[int]:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -240,6 +243,21 @@ class TestPlumbing:
         code = main(["learn-path", "--data", data_file, "--method", "heuristic",
                      "--restarts", "0"])
         assert_one_line_error(capsys, code, 2)
+
+    def test_python_dash_m_runs_the_cli(self, capsys, p4_file):
+        argv = ["decide-hp", "--graph", p4_file, "--criterion", "ml"]
+        src = os.path.dirname(os.path.dirname(pathgm.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, env.get("PYTHONPATH", "")]
+        ).rstrip(os.pathsep)
+        run = subprocess.run(
+            [sys.executable, "-m", "pathgm", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert run.returncode == 0, run.stderr
+        assert main(argv) == 0
+        assert run.stdout == capsys.readouterr().out
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 from pathgm import (
     Criterion,
+    InvalidStructureError,
     PathStructure,
     SolverLimitError,
     WeightMatrix,
     build_weights,
     learn_optimal_branching,
+    load_dataset,
     path_score,
     score_structure,
     solve_path_exact,
@@ -21,6 +24,7 @@ from pathgm import (
 )
 from conftest import random_dataset, tree_dataset
 from reference import solve_path_brute
+from reference import solve_path_exact as reference_exact
 from reference import solve_path_heuristic as reference_heuristic
 
 
@@ -28,6 +32,16 @@ def _random_weights(rng, n, low=-10.0, high=10.0):
     root = np.array([rng.uniform(low, high) for _ in range(n)])
     arc = np.array([[rng.uniform(low, high) for _ in range(n)] for _ in range(n)])
     return WeightMatrix(criterion=Criterion.ML, root=root, arc=arc)
+
+
+def _forbidden_weights(forbid, n=3):
+    """Every arc, or every root, is -inf, so no path scores above -inf."""
+    root, arc = np.zeros(n), np.zeros((n, n))
+    if forbid == "arcs":
+        arc[:] = -np.inf
+    else:
+        root[:] = -np.inf
+    return WeightMatrix(Criterion.ML, root, arc)
 
 
 def _factorial_best(weights):
@@ -128,6 +142,12 @@ class TestExactSolver:
         with pytest.raises(SolverLimitError, match="heuristic"):
             solve_path_exact(w, limit=4)
 
+    @pytest.mark.parametrize("forbid", ["arcs", "roots"])
+    def test_no_finite_path_raises(self, forbid):
+        w = _forbidden_weights(forbid)
+        with pytest.raises(InvalidStructureError, match="every path"):
+            solve_path_exact(w)
+
     def test_upper_bound_is_branching_score(self):
         rng = random.Random(17)
         for _ in range(10):
@@ -188,6 +208,12 @@ class TestHeuristic:
         b = solve_path_heuristic(w, restarts=6, seed=42)
         assert a.best_path.order == b.best_path.order
         assert a.best_score == b.best_score
+
+    @pytest.mark.parametrize("forbid", ["arcs", "roots"])
+    def test_no_finite_path_raises(self, forbid):
+        w = _forbidden_weights(forbid)
+        with pytest.raises(InvalidStructureError, match="every path"):
+            solve_path_heuristic(w, restarts=2)
 
     def test_restarts_must_be_positive(self):
         rng = random.Random(37)
@@ -318,3 +344,87 @@ class TestHeuristicMatchesReference:
     )
     def test_drawn_matrices(self, w, restarts, seed):
         _assert_matches_reference(w, restarts, seed)
+
+
+def _assert_exact_matches_reference(w):
+    """Same result as the push-form DP, or a raise where it has no path.
+
+    The push form returns a one-vertex order when no path is finite, and
+    ``_finish`` rejects its -inf score when n = 1.
+    """
+    try:
+        expected = reference_exact(w)
+    except InvalidStructureError:
+        expected = None
+    if expected is None or len(expected.best_path.order) != w.num_variables:
+        with pytest.raises(InvalidStructureError, match="every path"):
+            solve_path_exact(w)
+    else:
+        assert solve_path_exact(w) == expected
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+class TestExactMatchesReference:
+    """The pull recurrence returns exactly what the push form did."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 12])
+    def test_tree_data_every_criterion(self, n):
+        data = tree_dataset(seed=n, num_vars=n)
+        for criterion in Criterion:
+            _assert_exact_matches_reference(build_weights(criterion, data))
+
+    @pytest.mark.parametrize(
+        "name", ["mixed", "constant", "copies", "house5", "p4", "star4"]
+    )
+    def test_golden_datasets_every_criterion(self, name):
+        data = load_dataset(str(GOLDEN_INPUTS / f"{name}.csv"))
+        for criterion in Criterion:
+            _assert_exact_matches_reference(build_weights(criterion, data))
+
+    @pytest.mark.parametrize("step", [1.0, 0.1])
+    def test_tie_heavy_steps(self, step):
+        rng = np.random.default_rng(47)
+        for _ in range(60):
+            n = int(rng.integers(1, 10))
+            root = rng.integers(-2, 3, size=n) * step
+            arc = rng.integers(-2, 3, size=(n, n)) * step
+            _assert_exact_matches_reference(WeightMatrix(Criterion.ML, root, arc))
+
+    @pytest.mark.parametrize("value", [0.0, 7.25, -1e300])
+    def test_all_equal_weights(self, value):
+        for n in range(1, 10):
+            _assert_exact_matches_reference(WeightMatrix(
+                Criterion.ML, np.full(n, value), np.full((n, n), value)
+            ))
+
+    def test_gaussian_weights(self):
+        rng = np.random.default_rng(53)
+        for _ in range(40):
+            n = int(rng.integers(1, 11))
+            _assert_exact_matches_reference(WeightMatrix(
+                Criterion.ML, rng.normal(size=n), rng.normal(size=(n, n))
+            ))
+
+    def test_forbidden_roots_and_arcs(self):
+        rng = np.random.default_rng(59)
+        raised = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            root = rng.integers(-2, 3, size=n).astype(float)
+            arc = rng.integers(-2, 3, size=(n, n)).astype(float)
+            root[rng.random(n) < 0.3] = -np.inf
+            arc[rng.random((n, n)) < 0.6] = -np.inf
+            w = WeightMatrix(Criterion.ML, root, arc)
+            try:
+                solve_path_exact(w)
+            except InvalidStructureError:
+                raised += 1
+            _assert_exact_matches_reference(w)
+        assert 0 < raised < 300
+
+    @settings(max_examples=150, deadline=None)
+    @given(w=_weight_matrices())
+    def test_drawn_matrices(self, w):
+        _assert_exact_matches_reference(w)

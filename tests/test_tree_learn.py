@@ -129,6 +129,33 @@ class TestBranchingLearner:
             assert total == pytest.approx(brute_total, abs=1e-9)
             assert w.branching_score(learned) == total
 
+    def test_minus_inf_roots_match_brute_force(self):
+        # A -inf root once gave +inf and NaN deltas, and a wrong forest.
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            root = rng.integers(-3, 4, size=n) / 2
+            arc = rng.integers(-3, 4, size=(n, n)) / 2
+            root[rng.random(n) < 0.5] = -np.inf
+            arc[rng.random((n, n)) < 0.3] = -np.inf
+            w = WeightMatrix(Criterion.ML, root, arc)
+            _, brute_total = _brute_best(w)
+            if brute_total == -math.inf:
+                with pytest.raises(InvalidStructureError, match="every forest"):
+                    learn_optimal_branching(w)
+                continue
+            learned, total = learn_optimal_branching(w)
+            assert total == brute_total
+            assert w.branching_score(learned) == total
+
+    def test_no_finite_forest_raises(self):
+        root = np.array([0.0, -np.inf, 0.0])
+        arc = np.zeros((3, 3))
+        arc[:, 1] = -np.inf
+        w = WeightMatrix(Criterion.ML, root, arc)
+        with pytest.raises(InvalidStructureError, match="every forest"):
+            learn_optimal_branching(w)
+
     def test_matches_brute_force_on_random_data(self):
         rng = random.Random(17)
         for _ in range(12):
@@ -208,6 +235,14 @@ class TestSpanningTreeLearner:
         learned, total = learn_optimal_spanning_tree(w)
         assert learned.parent == (None,)
         assert total == 3.5
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_no_finite_tree_raises(self, n):
+        root = np.full(n, -np.inf) if n == 1 else np.zeros(n)
+        arc = np.full((n, n), -np.inf)
+        w = WeightMatrix(Criterion.ML, root, arc)
+        with pytest.raises(InvalidStructureError, match="every spanning tree"):
+            learn_optimal_spanning_tree(w)
 
     def test_matches_brute_force_on_random_weights(self):
         rng = random.Random(29)
