@@ -1,5 +1,4 @@
 """``python -m pathgm``: the command line front end."""
-
 from .cli import main_entry
 
 main_entry()

@@ -3,12 +3,10 @@
 A path's score is ``root[first] + sum of arc[prev, next]`` along the order.
 Two solvers:
 
-* ``solve_path_exact``: the subset dynamic program (Held & Karp 1962) in
-  pull form, ``best[v, S] = max_u best[u, S - {v}] + arc[u, v]``, filled
-  one subset size and one end vertex at a time. O(2^n * n^2) time and one
-  2^n * n float table; refused above a configurable vertex limit. Ties go
-  to the first predecessor u in ascending order, then to the smallest
-  end vertex.
+* ``solve_path_exact``: the subset DP (Held & Karp 1962) in pull form,
+  ``best[v, S] = max_u best[u, S - {v}] + arc[u, v]``: one 2^n * n float
+  table, O(2^n * n^2) time, refused above a vertex limit. Ties go to the
+  first predecessor u in ascending order, then to the smallest end.
 * ``solve_path_heuristic``: greedy construction from every start vertex
   plus seeded random restarts, polished by first-improvement relocation
   and segment-reversal moves. No optimality guarantee.
@@ -97,20 +95,24 @@ def solve_path_exact(
     full = 1 << n
     best = np.full((n, full), -np.inf)
     best[range(n), 1 << np.arange(n)] = weights.root
-    masks = np.arange(full)
-    size = sum(masks >> u & 1 for u in range(n))
+    # size[S] = |S|, doubled per vertex: the sets holding it come second.
+    size = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        size = np.concatenate((size, size + 1))
     for k in range(2, n + 1):
         layer = np.flatnonzero(size == k)
         for v in range(n):
             grown = layer[(layer >> v) & 1 == 1]
             prev = grown ^ 1 << v
             acc = np.full(grown.size, -np.inf)
+            reach = np.empty(grown.size)
             for u in range(n):
                 if u != v:
-                    np.maximum(acc, best[u, prev] + weights.arc[u, v], out=acc)
+                    best[u].take(prev, out=reach)
+                    reach += weights.arc[u, v]
+                    np.maximum(acc, reach, out=acc)
             best[v, grown] = acc
-    # Walk back from the best end: each step takes the first predecessor,
-    # in ascending order, that attains the state's value.
+    # Walk back from the best end, each step to the lowest u attaining it.
     mask, v = full - 1, int(np.argmax(best[:, -1]))
     order = [v]
     while mask != 1 << v:
