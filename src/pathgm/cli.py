@@ -6,8 +6,8 @@ Six subcommands: ``score``, ``learn-tree``, ``learn-path``, ``reduce``,
 sha256 digests, and a command-specific payload. Reruns on identical inputs
 produce byte-identical reports.
 
-Exit codes: 0 success, 1 domain error (valid files, invalid computation),
-2 malformed input files or unusable command lines.
+Exit codes: 0 success, 1 domain error (valid files, invalid computation)
+or out of memory, 2 malformed input files or unusable command lines.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import __version__
@@ -27,30 +26,6 @@ from .reduction import decide_hp, generate_reduction, verify_reduction
 from .scoring import Criterion, score_structure
 from .structures import Branching, PathStructure, load_graph
 from .tree_learn import build_weights, learn_optimal_branching, learn_optimal_spanning_tree
-
-_ALL_CRITERIA = (Criterion.ML, Criterion.MDL, Criterion.BAYES)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, resolved from the command line.
-
-    The field defaults are the command-line defaults.
-    """
-
-    command: str
-    criteria: Tuple[Criterion, ...]
-    data: Optional[str] = None
-    graph: Optional[str] = None
-    structure: Optional[str] = None
-    output: Optional[str] = None
-    data_out: Optional[str] = None
-    connected: bool = False
-    method: str = "exact"
-    exact_limit: int = EXACT_DEFAULT_LIMIT
-    restarts: int = 8
-    seed: int = 0
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -67,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--criterion",
             choices=["ml", "mdl", "bayes", "all"],
             default=default_criterion,
-            help=f"scoring criterion (default: {default_criterion})",
+            help="scoring criterion (default: %(default)s)",
         )
         p.add_argument(
             "--output",
@@ -101,11 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=["exact", "heuristic"],
         default="exact",
-        help="exact refuses instances above --exact-limit (default: exact)",
+        help="exact refuses instances above --exact-limit "
+        "(default: %(default)s)",
     )
-    p.add_argument("--exact-limit", type=int, default=RunConfig.exact_limit)
-    p.add_argument("--restarts", type=int, default=RunConfig.restarts)
-    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--exact-limit", type=int, default=EXACT_DEFAULT_LIMIT)
+    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0)
     add_common(p, "ml")
 
     p = sub.add_parser(
@@ -129,20 +105,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="decide Hamiltonian-path existence via optimal path learning",
     )
     p.add_argument("--graph", required=True, help="graph file")
-    p.add_argument("--exact-limit", type=int, default=RunConfig.exact_limit)
+    p.add_argument("--exact-limit", type=int, default=EXACT_DEFAULT_LIMIT)
     add_common(p, "all")
 
     return parser
 
 
-def _to_config(ns: argparse.Namespace) -> RunConfig:
-    """Options a subcommand does not define keep their RunConfig defaults."""
-    options = dict(vars(ns))
-    criterion = options.pop("criterion", "all")
-    criteria = (
-        _ALL_CRITERIA if criterion == "all" else (Criterion(criterion),)
-    )
-    return RunConfig(criteria=criteria, **options)
+def _criteria(ns: argparse.Namespace) -> Tuple[Criterion, ...]:
+    if ns.criterion == "all":
+        return tuple(Criterion)
+    return (Criterion(ns.criterion),)
 
 
 def _sha256(path: str) -> str:
@@ -190,15 +162,15 @@ def _structure_echo(structure) -> dict:
     return {"type": "branching", "parent": list(structure.parent)}
 
 
-def _run_score(cfg: RunConfig) -> dict:
-    data = load_dataset(cfg.data)
-    structure, structure_file = _load_structure(cfg.structure)
-    inputs = {"data": _input_entry(cfg.data)}
+def _run_score(ns: argparse.Namespace) -> dict:
+    data = load_dataset(ns.data)
+    structure, structure_file = _load_structure(ns.structure)
+    inputs = {"data": _input_entry(ns.data)}
     if structure_file is not None:
         inputs["structure"] = _input_entry(structure_file)
     parent_sets = structure.parent_sets()
     reports = []
-    for criterion in cfg.criteria:
+    for criterion in _criteria(ns):
         total = score_structure(criterion, data, parent_sets)
         reports.append(
             {
@@ -214,44 +186,44 @@ def _run_score(cfg: RunConfig) -> dict:
     }
 
 
-def _run_learn_tree(cfg: RunConfig) -> dict:
-    data = load_dataset(cfg.data)
+def _run_learn_tree(ns: argparse.Namespace) -> dict:
+    data = load_dataset(ns.data)
     reports = []
-    for criterion in cfg.criteria:
+    for criterion in _criteria(ns):
         weights = build_weights(criterion, data)
-        if cfg.connected:
+        if ns.connected:
             tree, score = learn_optimal_spanning_tree(weights)
         else:
             tree, score = learn_optimal_branching(weights)
         reports.append(
             {
                 "criterion": criterion.value,
-                "connected": cfg.connected,
+                "connected": ns.connected,
                 "parent": list(tree.parent),
                 "roots": list(tree.roots),
                 "score": score,
             }
         )
-    return {"inputs": {"data": _input_entry(cfg.data)}, "reports": reports}
+    return {"inputs": {"data": _input_entry(ns.data)}, "reports": reports}
 
 
-def _run_learn_path(cfg: RunConfig) -> dict:
-    if cfg.method == "heuristic" and cfg.restarts < 1:
-        raise FormatError(f"--restarts must be at least 1, got {cfg.restarts}")
-    data = load_dataset(cfg.data)
+def _run_learn_path(ns: argparse.Namespace) -> dict:
+    if ns.method == "heuristic" and ns.restarts < 1:
+        raise FormatError(f"--restarts must be at least 1, got {ns.restarts}")
+    data = load_dataset(ns.data)
     reports = []
-    for criterion in cfg.criteria:
+    for criterion in _criteria(ns):
         weights = build_weights(criterion, data)
-        if cfg.method == "exact":
-            result = solve_path_exact(weights, limit=cfg.exact_limit)
+        if ns.method == "exact":
+            result = solve_path_exact(weights, limit=ns.exact_limit)
         else:
             result = solve_path_heuristic(
-                weights, restarts=cfg.restarts, seed=cfg.seed
+                weights, restarts=ns.restarts, seed=ns.seed
             )
         reports.append(
             {
                 "criterion": criterion.value,
-                "method": cfg.method,
+                "method": ns.method,
                 "order": list(result.best_path.order),
                 "score": result.best_score,
                 "upper_bound": result.upper_bound,
@@ -259,28 +231,28 @@ def _run_learn_path(cfg: RunConfig) -> dict:
                 "exact": result.exact,
             }
         )
-    return {"inputs": {"data": _input_entry(cfg.data)}, "reports": reports}
+    return {"inputs": {"data": _input_entry(ns.data)}, "reports": reports}
 
 
-def _run_reduce(cfg: RunConfig) -> dict:
-    g = load_graph(cfg.graph)
+def _run_reduce(ns: argparse.Namespace) -> dict:
+    g = load_graph(ns.graph)
     data = generate_reduction(g)
-    write_dataset(data, cfg.data_out)
+    write_dataset(data, ns.data_out)
     return {
-        "inputs": {"graph": _input_entry(cfg.graph)},
+        "inputs": {"graph": _input_entry(ns.graph)},
         "vertices": g.vertex_count,
         "edges": len(g.edges),
         "variables": data.num_variables,
         "cases": data.num_cases,
-        "dataset": _input_entry(cfg.data_out),
+        "dataset": _input_entry(ns.data_out),
     }
 
 
-def _run_verify(cfg: RunConfig) -> dict:
-    data = load_dataset(cfg.data)
-    g = load_graph(cfg.graph)
+def _run_verify(ns: argparse.Namespace) -> dict:
+    data = load_dataset(ns.data)
+    g = load_graph(ns.graph)
     reports = []
-    for criterion in cfg.criteria:
+    for criterion in _criteria(ns):
         report = verify_reduction(data, g, criterion)
         entry = report.to_json_dict()
         entry["separation"] = report.separation
@@ -288,18 +260,18 @@ def _run_verify(cfg: RunConfig) -> dict:
         reports.append(entry)
     return {
         "inputs": {
-            "data": _input_entry(cfg.data),
-            "graph": _input_entry(cfg.graph),
+            "data": _input_entry(ns.data),
+            "graph": _input_entry(ns.graph),
         },
         "reports": reports,
     }
 
 
-def _run_decide_hp(cfg: RunConfig) -> dict:
-    g = load_graph(cfg.graph)
+def _run_decide_hp(ns: argparse.Namespace) -> dict:
+    g = load_graph(ns.graph)
     reports = []
-    for criterion in cfg.criteria:
-        decision = decide_hp(g, criterion, exact_limit=cfg.exact_limit)
+    for criterion in _criteria(ns):
+        decision = decide_hp(g, criterion, exact_limit=ns.exact_limit)
         entry = decision.report.to_json_dict(
             decision="yes" if decision.has_path else "no",
             witness=decision.witness,
@@ -308,7 +280,7 @@ def _run_decide_hp(cfg: RunConfig) -> dict:
             decision.search.best_score if decision.search is not None else None
         )
         reports.append(entry)
-    return {"inputs": {"graph": _input_entry(cfg.graph)}, "reports": reports}
+    return {"inputs": {"graph": _input_entry(ns.graph)}, "reports": reports}
 
 
 _HANDLERS = {
@@ -327,21 +299,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _to_config(ns)
     try:
-        payload = _HANDLERS[cfg.command](cfg)
+        payload = _HANDLERS[ns.command](ns)
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PathgmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    document = {"tool": "pathgm", "version": __version__, "command": cfg.command}
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 1
+    document = {"tool": "pathgm", "version": __version__, "command": ns.command}
     document.update(payload)
     text = json.dumps(document, indent=2) + "\n"
-    if cfg.output:
+    if ns.output:
         try:
-            with open(cfg.output, "w", encoding="utf-8") as handle:
+            with open(ns.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -7,15 +7,17 @@ reduces to counts of (target value, parent configuration) pairs, which
 
 CSV layout: a header row of variable names, an optional second line
 ``#card:r1,r2,...`` declaring cardinalities, then one row of integers per
-case. Without the declaration, each cardinality is inferred as one plus the
-largest observed value (1 for a column with no cases).
+case. Values must be nonnegative and fit a signed 64-bit integer. Without
+the declaration, each cardinality is inferred as one plus the largest
+observed value (1 for a column with no cases). Blank lines are skipped, so
+the declaration is the first nonblank line after the header.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, TextIO, Tuple, Union
+from typing import Dict, Iterable, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -136,12 +138,16 @@ def compute_stats(
     span = 1  # every key lies in range(span)
     for col in columns:
         card = data.cardinalities[col]
-        if span * card > 1 << 63:
-            # The next digit would overflow int64: replace the keys by their
-            # ranks, which keep the same order.
+        values = data.cases[:, col]
+        if span * card >= 1 << 63:
+            # The next digit could overflow int64: replace the keys and the
+            # column's values by their ranks, which keep the same order and
+            # are each below the number of cases.
             distinct, key = np.unique(key, return_inverse=True)
             span = len(distinct)
-        key = key * card + data.cases[:, col]
+            distinct, values = np.unique(values, return_inverse=True)
+            card = len(distinct)
+        key = key * card + values
         span *= card
     _, first, counts = np.unique(key, return_index=True, return_counts=True)
     rows = data.cases[np.ix_(first, columns)]
@@ -184,15 +190,16 @@ def _parse_csv(handle: TextIO, origin: str) -> DiscreteDataset:
     n = len(names)
 
     declared: Union[Tuple[int, ...], None] = None
-    pending: Union[list, None] = None
+    rows = []
     for row in reader:
         if not row:
             continue
-        if row[0].startswith(_CARD_PREFIX):
+        line = reader.line_num
+        if not rows and declared is None and row[0].startswith(_CARD_PREFIX):
             cells = [row[0][len(_CARD_PREFIX):]] + row[1:]
             if len(cells) != n:
                 raise DatasetFormatError(
-                    f"{origin}: line {reader.line_num}: cardinality line has "
+                    f"{origin}: line {line}: cardinality line has "
                     f"{len(cells)} entries, expected {n}"
                 )
             cards = []
@@ -201,23 +208,17 @@ def _parse_csv(handle: TextIO, origin: str) -> DiscreteDataset:
                     card = int(cell.strip())
                 except ValueError:
                     raise DatasetFormatError(
-                        f"{origin}: line {reader.line_num}: column "
+                        f"{origin}: line {line}: column "
                         f"{names[i]!r}: bad cardinality {cell.strip()!r}"
                     )
                 if card < 1:
                     raise DatasetFormatError(
-                        f"{origin}: line {reader.line_num}: column "
+                        f"{origin}: line {line}: column "
                         f"{names[i]!r}: cardinality must be >= 1"
                     )
                 cards.append(card)
             declared = tuple(cards)
-        else:
-            pending = row
-        break
-
-    rows = []
-
-    def consume(row: Sequence[str], line: int) -> None:
+            continue
         if len(row) != n:
             raise DatasetFormatError(
                 f"{origin}: line {line}: expected {n} values, got {len(row)}"
@@ -236,6 +237,11 @@ def _parse_csv(handle: TextIO, origin: str) -> DiscreteDataset:
                     f"{origin}: line {line}: column {names[i]!r}: "
                     f"negative value {value}"
                 )
+            if value >= 1 << 63:
+                raise DatasetFormatError(
+                    f"{origin}: line {line}: column {names[i]!r}: value "
+                    f"{value} does not fit a signed 64-bit integer"
+                )
             if declared is not None and value >= declared[i]:
                 raise DatasetFormatError(
                     f"{origin}: line {line}: column {names[i]!r}: value "
@@ -243,13 +249,6 @@ def _parse_csv(handle: TextIO, origin: str) -> DiscreteDataset:
                 )
             parsed.append(value)
         rows.append(parsed)
-
-    if pending is not None:
-        consume(pending, reader.line_num)
-    for row in reader:
-        if not row:
-            continue
-        consume(row, reader.line_num)
 
     matrix = np.asarray(rows, dtype=np.int64).reshape(len(rows), n)
     if declared is None:

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .path_learn import EXACT_DEFAULT_LIMIT, PathSearchResult, solve_path_exact
 from .scoring import Criterion, CriterionLike
-from .structures import HpInstance
+from .structures import HpInstance, is_hamiltonian_path
 from .tree_learn import WeightMatrix, build_weights
 
 # Value patterns for the paired variables across a pair's 8 cases.
@@ -346,7 +346,7 @@ def decide_hp(
         )
     search = solve_path_exact(weights, limit=exact_limit)
     order = search.best_path.order
-    structural = all(g.has_edge(u, v) for u, v in zip(order, order[1:]))
+    structural = is_hamiltonian_path(g, order)
     k = report.constants.k
     tol = _REL_TOL * max(1.0, abs(k))
     by_score = search.best_score >= k - tol

@@ -10,7 +10,9 @@ format is a header line ``n m`` followed by m lines ``u v`` with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Sequence, TextIO, Tuple, Union
+from typing import (
+    FrozenSet, List, Mapping, Optional, Sequence, TextIO, Tuple, Union,
+)
 
 from .errors import GraphFormatError, InvalidStructureError, SolverLimitError
 
@@ -48,6 +50,27 @@ class PathStructure:
         return PathStructure(tuple(reversed(self.order)))
 
 
+def find_cycle(parent: Mapping[int, Optional[int]]) -> Optional[List[int]]:
+    """First cycle met walking up from each vertex in key order, or None.
+
+    ``parent`` maps each vertex to its parent; a walk stops at None or at a
+    vertex with no entry. The cycle starts at the vertex where it closes.
+    """
+    state = dict.fromkeys(parent, 0)  # 0 fresh, 1 on current chain, 2 settled
+    for start in parent:
+        chain = []
+        v = start
+        while state.get(v) == 0:
+            state[v] = 1
+            chain.append(v)
+            v = parent[v]
+        if state.get(v) == 1:
+            return chain[chain.index(v):]
+        for u in chain:
+            state[u] = 2
+    return None
+
+
 @dataclass(frozen=True)
 class Branching:
     """An in-degree at most 1 acyclic structure: one optional parent each."""
@@ -69,20 +92,11 @@ class Branching:
                 )
             if p == i:
                 raise InvalidStructureError(f"vertex {i} is its own parent")
-        state = [0] * n  # 0 fresh, 1 on current chain, 2 settled
-        for start in range(n):
-            chain = []
-            v: Optional[int] = start
-            while v is not None and state[v] == 0:
-                state[v] = 1
-                chain.append(v)
-                v = parent[v]
-            if v is not None and state[v] == 1:
-                raise InvalidStructureError(
-                    f"parent pointers contain a cycle through vertex {v}"
-                )
-            for u in chain:
-                state[u] = 2
+        cycle = find_cycle(dict(enumerate(parent)))
+        if cycle is not None:
+            raise InvalidStructureError(
+                f"parent pointers contain a cycle through vertex {cycle[0]}"
+            )
 
     @property
     def num_vertices(self) -> int:

@@ -30,7 +30,7 @@ import numpy as np
 from .dataset import DiscreteDataset
 from .errors import InvalidStructureError
 from .scoring import Criterion, CriterionLike, local_score
-from .structures import Branching
+from .structures import Branching, find_cycle
 
 # Arc tuples are (tail, head, weight, payload); payload wraps the arc one
 # contraction level up, None at the outermost level.
@@ -120,35 +120,12 @@ def _select_best_in(
     return best
 
 
-def _find_cycle(
-    nodes: Sequence[int], best: Dict[int, _Arc], root: int
-) -> Optional[List[int]]:
-    color = {v: 0 for v in nodes}  # 0 fresh, 1 on chain, 2 settled
-    for start in nodes:
-        if start == root or color[start] != 0:
-            continue
-        chain: List[int] = []
-        v = start
-        while v != root and color[v] == 0:
-            color[v] = 1
-            chain.append(v)
-            v = best[v][0]
-        cycle = None
-        if v != root and color[v] == 1:
-            cycle = chain[chain.index(v):]
-        for u in chain:
-            color[u] = 2
-        if cycle is not None:
-            return cycle
-    return None
-
-
 def _best_arborescence(
     nodes: List[int], arcs: List[_Arc], root: int, next_id: int
 ) -> Dict[int, _Arc]:
     """Maximum arborescence rooted at ``root``; returns chosen arc per vertex."""
     best = _select_best_in(nodes, arcs, root)
-    cycle = _find_cycle(nodes, best, root)
+    cycle = find_cycle({v: best[v][0] for v in nodes if v != root})
     if cycle is None:
         return best
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -259,6 +260,26 @@ class TestPlumbing:
         assert main(argv) == 0
         assert run.stdout == capsys.readouterr().out
 
+    def test_cell_past_int64_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("A,B\n100000000000000000000,0\n", encoding="utf-8")
+        code = main(["learn-tree", "--data", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "line 2: column 'A'" in err
+
+    @pytest.mark.parametrize(
+        "exc", [MemoryError(), MemoryError("Unable to allocate 240. GiB")]
+    )
+    def test_out_of_memory_exits_1(self, capsys, monkeypatch, data_file, exc):
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(pathgm.cli, "solve_path_exact", exhausted)
+        code = main(["learn-path", "--data", data_file])
+        assert_one_line_error(capsys, code, 1)
+
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
@@ -284,3 +305,79 @@ class TestPlumbing:
         second = capsys.readouterr().out
         assert first == second
         assert first.endswith("\n")
+
+
+class TestDefaults:
+    """Omitted flags give the bytes of their documented values."""
+
+    def assert_same_report(self, capsys, argv, explicit):
+        assert main(argv) == 0
+        implicit_out = capsys.readouterr().out
+        assert main(argv + explicit) == 0
+        assert capsys.readouterr().out == implicit_out
+
+    @pytest.mark.parametrize(
+        "command, extra, explicit",
+        [
+            ("learn-path", [], ["--method", "exact"]),
+            ("learn-path", [], ["--criterion", "ml"]),
+            ("learn-tree", [], ["--criterion", "ml"]),
+            ("score", ["--structure", "path:2,0,1"], ["--criterion", "ml"]),
+        ],
+    )
+    def test_data_commands(self, capsys, data_file, command, extra, explicit):
+        argv = [command, "--data", data_file] + extra
+        self.assert_same_report(capsys, argv, explicit)
+
+    def test_heuristic_restarts_and_seed(self, capsys, tmp_path):
+        # On these 6 random cases over 30 variables the report changes with
+        # either value, so matching bytes pin both.
+        rng = random.Random(8)
+        lines = [",".join(f"V{i}" for i in range(30))]
+        lines += [",".join(str(rng.randrange(4)) for _ in range(30))
+                  for _ in range(6)]
+        path = tmp_path / "rugged.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["learn-path", "--data", str(path), "--method", "heuristic"]
+        self.assert_same_report(capsys, argv, ["--restarts", "8", "--seed", "0"])
+        default = run_json(capsys, argv)
+        for other in (["--restarts", "4"], ["--seed", "1"]):
+            assert run_json(capsys, argv + other) != default
+
+    def test_reduction_commands(self, capsys, tmp_path, p4_file):
+        encoded = str(tmp_path / "encoded.csv")
+        run_json(capsys, ["reduce", "--graph", p4_file, "--data-out", encoded])
+        for argv in (
+            ["verify", "--data", encoded, "--graph", p4_file],
+            ["decide-hp", "--graph", p4_file],
+        ):
+            self.assert_same_report(capsys, argv, ["--criterion", "all"])
+
+    @pytest.mark.parametrize("command", ["learn-path", "decide-hp"])
+    def test_exact_limit_is_20(self, capsys, monkeypatch, tmp_path, command):
+        # 21 vertices: the refusal must come before the solver touches numpy,
+        # so before its 2^21-column table exists.
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} used before the limit check")
+
+        if command == "learn-path":
+            path = tmp_path / "wide.csv"
+            names = [f"V{i}" for i in range(21)]
+            row = ["0"] * 21
+            path.write_text(f"{','.join(names)}\n{','.join(row)}\n",
+                            encoding="utf-8")
+            argv = [command, "--data", str(path), "--criterion", "ml"]
+        else:
+            path = tmp_path / "p21.txt"
+            edges = "".join(f"{v} {v + 1}\n" for v in range(20))
+            path.write_text(f"21 20\n{edges}", encoding="utf-8")
+            argv = [command, "--graph", str(path), "--criterion", "ml"]
+        monkeypatch.setattr(pathgm.path_learn, "np", NoNumpy())
+        errors = []
+        for extra in ([], ["--exact-limit", "20"]):
+            code = main(argv + extra)
+            errors.append(capsys.readouterr().err)
+            assert code == 1
+        assert errors[0] == errors[1]
+        assert "limited to 20 vertices, got 21" in errors[0]

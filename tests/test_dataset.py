@@ -10,6 +10,7 @@ from pathgm import (
     InvalidQueryError,
     compute_stats,
     load_dataset,
+    local_score,
     write_dataset,
 )
 from conftest import random_dataset
@@ -137,6 +138,28 @@ class TestCsvIo:
         with pytest.raises(DatasetFormatError, match="expected 2 values"):
             _load_text("A,B\n0\n")
 
+    def test_card_line_after_blank_lines_is_the_declaration(self):
+        data = _load_text("A,B\n\n\n#card:4,3\n\n0,1\n")
+        assert data.cardinalities == (4, 3)
+        assert data.cases.tolist() == [[0, 1]]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["A,B\n0,1\n#card:4,3\n", "A,B\n#card:4,3\n#card:4,3\n0,1\n"],
+    )
+    def test_only_the_first_row_may_declare(self, text):
+        with pytest.raises(DatasetFormatError, match="line 3.*not an integer"):
+            _load_text(text)
+
+    def test_cell_past_int64_rejected(self):
+        with pytest.raises(DatasetFormatError, match="line 2.*'A'.*64-bit"):
+            _load_text("A,B\n100000000000000000000,0\n")
+        with pytest.raises(DatasetFormatError, match="line 2.*'B'.*64-bit"):
+            _load_text(f"A,B\n0,{1 << 63}\n")
+        data = _load_text(f"A\n0\n{(1 << 63) - 1}\n")
+        assert data.cardinalities == (1 << 63,)
+        assert compute_stats(data, 0).parent_counts == {(): 2}
+
     def test_bad_cardinality_line_rejected(self):
         with pytest.raises(DatasetFormatError, match="cardinality"):
             _load_text("A,B\n#card:2\n0,0\n")
@@ -217,6 +240,25 @@ class TestStatsDifferential:
         _assert_matches_oracle(data, 45, parents)
         rng.shuffle(parents)
         _assert_matches_oracle(data, 45, parents)
+
+    @pytest.mark.parametrize("huge", [1 << 62, 1 << 63, 10**20])
+    def test_huge_declared_cardinality_matches_small(self, huge):
+        # Re-ranking the key alone leaves span * card past int64 here.
+        rng = np.random.default_rng(0)
+        rows = np.column_stack([rng.integers(0, 5, 300), rng.integers(0, 4, 300)])
+        small = DiscreteDataset(("A", "B"), (5, 4), rows)
+        big = DiscreteDataset(("A", "B"), (5, huge), rows)
+        expected = compute_stats(small, 0, (1,))
+        stats = compute_stats(big, 0, (1,))
+        assert list(stats.joint_counts.items()) == list(
+            expected.joint_counts.items()
+        )
+        assert list(stats.parent_counts.items()) == list(
+            expected.parent_counts.items()
+        )
+        assert local_score("ml", big, 0, (1,)) == local_score("ml", small, 0, (1,))
+        _assert_matches_oracle(big, 0, (1,))
+        _assert_matches_oracle(big, 1, (0,))
 
 
 class TestStats:

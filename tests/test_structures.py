@@ -16,6 +16,7 @@ from pathgm import (
     path_from_parent_map,
     write_graph,
 )
+from pathgm.structures import find_cycle
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
 
 
@@ -68,6 +69,19 @@ class TestBranching:
             Branching((1, 0))
         with pytest.raises(InvalidStructureError, match="cycle"):
             Branching((2, 0, 1))
+
+    def test_cycle_error_names_the_vertex_where_it_closes(self):
+        # 0 -> 1 -> 2 -> 3 -> 1: the walk from 0 first meets 1 again.
+        with pytest.raises(InvalidStructureError, match="through vertex 1$"):
+            Branching((1, 2, 3, 1, None))
+
+    def test_find_cycle_returns_the_first_cycle_met(self):
+        # Keys in order 4, 0, ...: the walk from 4 reaches the cycle {2, 3}
+        # first; a walk stops at None or at a vertex with no entry.
+        parent = {4: 3, 0: 1, 1: 0, 2: 3, 3: 2, 5: 9, 6: None}
+        assert find_cycle(parent) == [3, 2]
+        assert find_cycle({0: 1, 1: 0}) == [0, 1]
+        assert find_cycle({0: 5, 1: 0, 2: None}) is None
 
     def test_self_parent_rejected(self):
         with pytest.raises(InvalidStructureError, match="own parent"):
