@@ -11,19 +11,24 @@ factorizes into one weight per vertex: ``root[v]`` when v has no parent,
   running a fixed-root maximum arborescence from every possible root on
   the raw arc weights and keeping the best.
 
-The arborescence solver is the classic cycle-contraction method: pick the
-best entering arc per vertex, contract any cycle, recurse, then unwrap.
-Ties always keep the first candidate in scan order (virtual root first,
-then arcs by ascending (parent, child)), so results are deterministic.
-Both learners raise ``InvalidStructureError`` when the best structure
-scores -inf.
+The arborescence solver contracts cycles iteratively on one dense weight
+matrix (Tarjan 1977; Camerini, Fratta & Maffioli 1979). It picks the best
+entering arc of every vertex, then contracts the first cycle these arcs
+form into one node, until none is left: the node's columns are lowered by
+their heads' best weights, and its best entering arc is the first maximum
+of its outside x inside block. A stack of contractions is unwound at the
+end.
+Ties keep the first candidate in scan order (virtual root first, then
+arcs by ascending (parent, child)), so results are deterministic. Memory
+is O(m^2) for m vertices and nothing recurses. Both learners raise
+``InvalidStructureError`` when the best structure scores -inf.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -31,10 +36,6 @@ from .dataset import DiscreteDataset
 from .errors import InvalidStructureError
 from .scoring import Criterion, CriterionLike, local_score
 from .structures import Branching, find_cycle
-
-# Arc tuples are (tail, head, weight, payload); payload wraps the arc one
-# contraction level up, None at the outermost level.
-_Arc = Tuple[int, int, float, object]
 
 
 @dataclass(frozen=True)
@@ -103,80 +104,71 @@ def build_weights(criterion: CriterionLike, data: DiscreteDataset) -> WeightMatr
     return WeightMatrix(criterion=criterion, root=root, arc=arc)
 
 
-def _select_best_in(
-    nodes: Sequence[int], arcs: List[_Arc], root: int
-) -> Dict[int, _Arc]:
-    best: Dict[int, _Arc] = {}
-    for a in arcs:
-        tail, head = a[0], a[1]
-        if head == root or tail == head:
-            continue
-        cur = best.get(head)
-        if cur is None or a[2] > cur[2]:
-            best[head] = a
-    for v in nodes:
-        if v != root and v not in best:
-            raise InvalidStructureError(f"no arc enters vertex {v}")
-    return best
+def _max_arborescence(w: np.ndarray, root: int) -> List[int]:
+    """Tail of the chosen arc into each vertex of a maximum arborescence.
 
-
-def _best_arborescence(
-    nodes: List[int], arcs: List[_Arc], root: int, next_id: int
-) -> Dict[int, _Arc]:
-    """Maximum arborescence rooted at ``root``; returns chosen arc per vertex."""
-    best = _select_best_in(nodes, arcs, root)
-    cycle = find_cycle({v: best[v][0] for v in nodes if v != root})
-    if cycle is None:
-        return best
-
-    c = next_id
-    in_cycle = set(cycle)
-    contracted: List[_Arc] = []
-    for a in arcs:
-        tail, head, weight, _ = a
-        new_tail = c if tail in in_cycle else tail
-        new_head = c if head in in_cycle else head
-        if new_tail == new_head:
-            continue
-        if new_head == c:
-            contracted.append((new_tail, c, weight - best[head][2], a))
-        else:
-            contracted.append((new_tail, new_head, weight, a))
-    new_nodes = [v for v in nodes if v not in in_cycle] + [c]
-    sub = _best_arborescence(new_nodes, contracted, root, next_id + 1)
-
-    chosen: Dict[int, _Arc] = {}
-    entering: Optional[_Arc] = None
-    for v, a in sub.items():
-        original = a[3]
-        if v == c:
-            entering = original
-        else:
-            chosen[v] = original
-    assert entering is not None
-    broken = entering[1]  # cycle vertex that now takes the outside parent
-    chosen[broken] = entering
-    for v in cycle:
-        if v != broken:
-            chosen[v] = best[v]
-    return chosen
+    ``w[u, v]`` weighs arc u -> v and is lowered in place; nothing enters
+    ``root`` and the diagonal is -inf. A node is a vertex or a contracted
+    cycle; ``live`` lists the outermost nodes, and ``label`` names the
+    one that holds each vertex.
+    """
+    m = w.shape[0]
+    # Each node's best entering arc (tail, head, weight); ids >= m are cycles.
+    tail, head, best = np.zeros(2 * m, int), np.arange(2 * m), np.empty(2 * m)
+    # The first maximum down each column is the first in scan order; a
+    # column of -inf takes row 0, which in column 0 is the diagonal.
+    tail[:m] = w.argmax(axis=0)
+    if m > 1 and tail[0] == 0:
+        tail[0] = 1
+    best[:m] = w[tail[:m], head[:m]]
+    label = np.arange(m)
+    live = [v for v in range(m) if v != root]
+    stack = []
+    c = m
+    while True:
+        parent = label[tail[live]].tolist()
+        cycle = find_cycle(dict(zip(live, parent)))
+        if cycle is None:
+            break
+        member = np.zeros(c, dtype=bool)
+        member[cycle] = True
+        inside = member[label]
+        cols, rows = np.flatnonzero(inside), np.flatnonzero(~inside)
+        owner = label[cols]
+        with np.errstate(over="ignore", invalid="ignore"):
+            w[:, cols] -= best[owner]
+        # Replay the scan: the first arc wins unless a later one is
+        # strictly greater, so a NaN first arc is never beaten.
+        block = w[np.ix_(rows, cols)].ravel()
+        k = 0
+        if block[0] == block[0]:
+            block[np.isnan(block)] = -np.inf
+            k = int(block.argmax())
+        t, h = int(rows[k // cols.size]), int(cols[k % cols.size])
+        tail[c], head[c], best[c] = t, h, w[t, h]
+        label[cols] = c
+        live = [v for v in live if not member[v]] + [c]
+        stack.append((c, cols, owner))
+        c += 1
+    # Unwind: the arc entering a cycle replaces the best arc of the member
+    # that holds its head; the other members keep their own.
+    for c, cols, owner in reversed(stack):
+        x = owner[np.searchsorted(cols, head[c])]
+        tail[x], head[x] = tail[c], head[c]
+    return tail[:m].tolist()
 
 
 def learn_optimal_branching(weights: WeightMatrix) -> Tuple[Branching, float]:
     """Highest-scoring forest (in-degree at most 1, any number of roots)."""
     n = weights.num_variables
-    rho = n
     shift = np.where(np.isfinite(weights.root), weights.root, 0.0)
-    arcs: List[_Arc] = [
-        (rho, v, float(weights.root[v] - shift[v]), None) for v in range(n)
-    ]
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                arcs.append((u, v, float(weights.arc[u, v] - shift[v]), None))
-    chosen = _best_arborescence(list(range(n)) + [rho], arcs, rho, n + 1)
-    tails = [chosen[v][0] for v in range(n)]
-    branching = Branching(tuple(None if u == rho else u for u in tails))
+    # Row and column 0 are the virtual root, so row-major is scan order.
+    w = np.full((n + 1, n + 1), -np.inf)
+    with np.errstate(over="ignore"):
+        w[0, 1:] = weights.root - shift
+        w[1:, 1:] = weights.arc - shift
+    tails = _max_arborescence(w, 0)[1:]
+    branching = Branching(tuple(None if t == 0 else t - 1 for t in tails))
     score = weights.branching_score(branching)
     if score == -np.inf:
         raise InvalidStructureError("every forest scores -inf")
@@ -189,20 +181,14 @@ def learn_optimal_spanning_tree(weights: WeightMatrix) -> Tuple[Branching, float
     Tries every root; ties keep the smallest root index.
     """
     n = weights.num_variables
-    arcs: List[_Arc] = [
-        (u, v, float(weights.arc[u, v]), None)
-        for u in range(n)
-        for v in range(n)
-        if u != v
-    ]
     trees = []
     for r in range(n):
-        chosen = _best_arborescence(list(range(n)), list(arcs), r, n)
-        parent = (None if v == r else chosen[v][0] for v in range(n))
-        trees.append(Branching(tuple(parent)))
-    # max keeps the first of equal scores, so the smallest root wins ties.
-    tree = max(trees, key=weights.branching_score)
-    score = weights.branching_score(tree)
-    if score == -np.inf:
+        tails = _max_arborescence(weights.arc.copy(), r)
+        trees.append(Branching(tuple(
+            None if v == r else t for v, t in enumerate(tails)
+        )))
+    scores = [weights.branching_score(tree) for tree in trees]
+    best = max(scores)
+    if best == -np.inf:
         raise InvalidStructureError("every spanning tree scores -inf")
-    return tree, score
+    return trees[scores.index(best)], best

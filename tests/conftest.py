@@ -1,8 +1,15 @@
-"""Shared helpers: seeded random datasets, random graphs, graph families."""
+"""Shared helpers: seeded random datasets, random graphs, graph families,
+and the Hypothesis strategy and profile every property test uses."""
 
 import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
 
-from pathgm import DiscreteDataset, HpInstance
+from pathgm import Criterion, DiscreteDataset, HpInstance, WeightMatrix
+
+# Every run draws the same examples, so a tier-1 result repeats exactly.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def random_dataset(rng, num_vars=None, min_card=2, max_card=4, max_cases=200,
@@ -66,3 +73,22 @@ def complete_graph(n):
     return HpInstance(
         n, frozenset((i, j) for i in range(n) for j in range(i + 1, n))
     )
+
+
+@st.composite
+def weight_matrices(draw):
+    """ML weight matrices with n <= 7: small integer ties, wide floats and
+    -inf arcs, with the chain 0 -> 1 -> ... -> n-1 kept finite."""
+    n = draw(st.integers(1, 7))
+    value = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    )
+    root = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    arc = np.array(draw(st.lists(
+        st.one_of(value, st.just(-np.inf)), min_size=n * n, max_size=n * n
+    ))).reshape(n, n)
+    # Keep one path finite so some local search ends above -inf.
+    chain = (np.arange(n - 1), np.arange(1, n))
+    arc[chain] = np.nan_to_num(arc[chain], neginf=0.0)
+    return WeightMatrix(Criterion.ML, root, arc)

@@ -6,16 +6,28 @@ table: the pull recurrence in ``pathgm.path_learn`` must return an
 identical result. ``solve_path_heuristic`` is the local search that
 scores every trial move with ``path_score`` in scan order: the screened
 search in ``pathgm.path_learn`` must return an identical result.
+``learn_optimal_branching`` and ``learn_optimal_spanning_tree`` solve
+each level of the cycle contraction afresh from a list of arc tuples and
+recurse: the iterative dense solver in ``pathgm.tree_learn`` must return
+an identical result.
 """
 
 import itertools
 import random
-from typing import List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from pathgm import PathSearchResult, SolverLimitError, WeightMatrix, path_score
+from pathgm import (
+    Branching,
+    InvalidStructureError,
+    PathSearchResult,
+    SolverLimitError,
+    WeightMatrix,
+    path_score,
+)
 from pathgm.path_learn import _finish
+from pathgm.structures import find_cycle
 
 BRUTE_DEFAULT_LIMIT = 9
 
@@ -149,3 +161,113 @@ def solve_path_heuristic(
         if score > best_score:
             best_order, best_score = order, score
     return _finish(weights, best_order, exact=False)
+
+
+# Arc tuples are (tail, head, weight, payload); payload wraps the arc one
+# contraction level up, None at the outermost level.
+_Arc = Tuple[int, int, float, object]
+
+
+def _select_best_in(
+    nodes: Sequence[int], arcs: List[_Arc], root: int
+) -> Dict[int, _Arc]:
+    best: Dict[int, _Arc] = {}
+    for a in arcs:
+        tail, head = a[0], a[1]
+        if head == root or tail == head:
+            continue
+        cur = best.get(head)
+        if cur is None or a[2] > cur[2]:
+            best[head] = a
+    for v in nodes:
+        if v != root and v not in best:
+            raise InvalidStructureError(f"no arc enters vertex {v}")
+    return best
+
+
+def _best_arborescence(
+    nodes: List[int], arcs: List[_Arc], root: int, next_id: int
+) -> Dict[int, _Arc]:
+    """Maximum arborescence rooted at ``root``; returns chosen arc per vertex."""
+    best = _select_best_in(nodes, arcs, root)
+    cycle = find_cycle({v: best[v][0] for v in nodes if v != root})
+    if cycle is None:
+        return best
+
+    c = next_id
+    in_cycle = set(cycle)
+    contracted: List[_Arc] = []
+    for a in arcs:
+        tail, head, weight, _ = a
+        new_tail = c if tail in in_cycle else tail
+        new_head = c if head in in_cycle else head
+        if new_tail == new_head:
+            continue
+        if new_head == c:
+            contracted.append((new_tail, c, weight - best[head][2], a))
+        else:
+            contracted.append((new_tail, new_head, weight, a))
+    new_nodes = [v for v in nodes if v not in in_cycle] + [c]
+    sub = _best_arborescence(new_nodes, contracted, root, next_id + 1)
+
+    chosen: Dict[int, _Arc] = {}
+    entering: Optional[_Arc] = None
+    for v, a in sub.items():
+        original = a[3]
+        if v == c:
+            entering = original
+        else:
+            chosen[v] = original
+    assert entering is not None
+    broken = entering[1]  # cycle vertex that now takes the outside parent
+    chosen[broken] = entering
+    for v in cycle:
+        if v != broken:
+            chosen[v] = best[v]
+    return chosen
+
+
+def learn_optimal_branching(weights: WeightMatrix) -> Tuple[Branching, float]:
+    """Highest-scoring forest (in-degree at most 1, any number of roots)."""
+    n = weights.num_variables
+    rho = n
+    shift = np.where(np.isfinite(weights.root), weights.root, 0.0)
+    arcs: List[_Arc] = [
+        (rho, v, float(weights.root[v] - shift[v]), None) for v in range(n)
+    ]
+    for u in range(n):
+        for v in range(n):
+            if u != v:
+                arcs.append((u, v, float(weights.arc[u, v] - shift[v]), None))
+    chosen = _best_arborescence(list(range(n)) + [rho], arcs, rho, n + 1)
+    tails = [chosen[v][0] for v in range(n)]
+    branching = Branching(tuple(None if u == rho else u for u in tails))
+    score = weights.branching_score(branching)
+    if score == -np.inf:
+        raise InvalidStructureError("every forest scores -inf")
+    return branching, score
+
+
+def learn_optimal_spanning_tree(weights: WeightMatrix) -> Tuple[Branching, float]:
+    """Highest-scoring connected spanning tree (exactly one root).
+
+    Tries every root; ties keep the smallest root index.
+    """
+    n = weights.num_variables
+    arcs: List[_Arc] = [
+        (u, v, float(weights.arc[u, v]), None)
+        for u in range(n)
+        for v in range(n)
+        if u != v
+    ]
+    trees = []
+    for r in range(n):
+        chosen = _best_arborescence(list(range(n)), list(arcs), r, n)
+        parent = (None if v == r else chosen[v][0] for v in range(n))
+        trees.append(Branching(tuple(parent)))
+    # max keeps the first of equal scores, so the smallest root wins ties.
+    tree = max(trees, key=weights.branching_score)
+    score = weights.branching_score(tree)
+    if score == -np.inf:
+        raise InvalidStructureError("every spanning tree scores -inf")
+    return tree, score

@@ -22,7 +22,7 @@ from pathgm import (
     solve_path_exact,
     solve_path_heuristic,
 )
-from conftest import random_dataset, tree_dataset
+from conftest import random_dataset, tree_dataset, weight_matrices
 from reference import solve_path_brute
 from reference import solve_path_exact as reference_exact
 from reference import solve_path_heuristic as reference_heuristic
@@ -270,23 +270,6 @@ NEAR_TIE_ARC = [
 ]
 
 
-@st.composite
-def _weight_matrices(draw):
-    n = draw(st.integers(1, 7))
-    value = st.one_of(
-        st.integers(-3, 3).map(float),
-        st.floats(-1e6, 1e6, allow_nan=False),
-    )
-    root = np.array(draw(st.lists(value, min_size=n, max_size=n)))
-    arc = np.array(draw(st.lists(
-        st.one_of(value, st.just(-np.inf)), min_size=n * n, max_size=n * n
-    ))).reshape(n, n)
-    # Keep one path finite so some local search ends above -inf.
-    chain = (np.arange(n - 1), np.arange(1, n))
-    arc[chain] = np.nan_to_num(arc[chain], neginf=0.0)
-    return WeightMatrix(Criterion.ML, root, arc)
-
-
 class TestHeuristicMatchesReference:
     """The screened search returns exactly what scoring every move would."""
 
@@ -338,7 +321,7 @@ class TestHeuristicMatchesReference:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        w=_weight_matrices(),
+        w=weight_matrices(),
         restarts=st.integers(1, 3),
         seed=st.integers(0, 1000),
     )
@@ -425,6 +408,6 @@ class TestExactMatchesReference:
         assert 0 < raised < 300
 
     @settings(max_examples=150, deadline=None)
-    @given(w=_weight_matrices())
+    @given(w=weight_matrices())
     def test_drawn_matrices(self, w):
         _assert_exact_matches_reference(w)

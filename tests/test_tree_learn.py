@@ -1,9 +1,13 @@
 import itertools
 import math
 import random
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from pathgm import (
     Branching,
@@ -14,10 +18,12 @@ from pathgm import (
     generate_reduction,
     learn_optimal_branching,
     learn_optimal_spanning_tree,
+    load_dataset,
     local_score,
     score_structure,
 )
-from conftest import path_graph, random_dataset
+from conftest import path_graph, random_dataset, tree_dataset, weight_matrices
+import reference
 
 
 def _random_weights(rng, n, low=-10.0, high=10.0):
@@ -329,3 +335,179 @@ class TestChowLiuCrossCheck:
             assert total == pytest.approx(
                 marginals + num * mi_learned, abs=1e-6
             )
+
+
+def _outcome(learn, w):
+    try:
+        return learn(w)
+    except (InvalidStructureError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches_reference(w):
+    assert _outcome(learn_optimal_branching, w) == _outcome(
+        reference.learn_optimal_branching, w
+    )
+    assert _outcome(learn_optimal_spanning_tree, w) == _outcome(
+        reference.learn_optimal_spanning_tree, w
+    )
+
+
+def _nested(n):
+    """Every forest solve contracts n - 1 cycles, each inside the last."""
+    i = np.arange(n, dtype=float)
+    return WeightMatrix(Criterion.ML, np.full(n, -1e6), -(i[:, None] + i))
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+class TestArborescenceMatchesReference:
+    """The dense iterative solver returns exactly what the recursion did."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 24, 32])
+    def test_tree_data_every_criterion(self, n):
+        data = tree_dataset(seed=n, num_vars=n)
+        for criterion in Criterion:
+            _assert_matches_reference(build_weights(criterion, data))
+
+    @pytest.mark.parametrize(
+        "name", ["mixed", "constant", "copies", "house5", "p4", "star4"]
+    )
+    def test_golden_datasets_every_criterion(self, name):
+        data = load_dataset(str(GOLDEN_INPUTS / f"{name}.csv"))
+        for criterion in Criterion:
+            _assert_matches_reference(build_weights(criterion, data))
+
+    @pytest.mark.parametrize("step", [1.0, 0.1])
+    def test_integer_ties(self, step):
+        rng = np.random.default_rng(67)
+        for _ in range(80):
+            n = int(rng.integers(1, 9))
+            root = rng.integers(-2, 3, size=n) * step
+            arc = rng.integers(-2, 3, size=(n, n)) * step
+            _assert_matches_reference(WeightMatrix(Criterion.ML, root, arc))
+
+    @pytest.mark.parametrize("value", [0.0, 7.25, -1e300])
+    def test_all_equal_weights(self, value):
+        for n in range(1, 9):
+            _assert_matches_reference(WeightMatrix(
+                Criterion.ML, np.full(n, value), np.full((n, n), value)
+            ))
+
+    def test_forbidden_roots_and_arcs(self):
+        rng = np.random.default_rng(71)
+        raised = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            root = rng.integers(-2, 3, size=n).astype(float)
+            arc = rng.integers(-2, 3, size=(n, n)).astype(float)
+            root[rng.random(n) < 0.3] = -np.inf
+            arc[rng.random((n, n)) < 0.3] = -np.inf
+            w = WeightMatrix(Criterion.ML, root, arc)
+            raised += isinstance(_outcome(learn_optimal_branching, w)[0], type)
+            _assert_matches_reference(w)
+        assert 0 < raised < 300
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_lowered_arcs(self):
+        # 1e308 - (-1e308) lowers to +inf, and a later contraction
+        # subtracts +inf from +inf. From n = 3 on, scoring some candidate
+        # overflows fsum, and both solvers raise the same OverflowError.
+        for n in (2, 3, 4):
+            arc = np.full((n, n), 1e308)
+            _assert_matches_reference(
+                WeightMatrix(Criterion.ML, np.full(n, -1e308), arc)
+            )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_first_arc_enters_the_cycle(self):
+        # From root 2 the cycle 0 <-> 1 forms with best weight -inf into 0,
+        # so lowering gives -inf - (-inf) = NaN on the first arc (2, 0),
+        # which nothing beats. Scoring that -inf tree overflows fsum, so
+        # the recursion raises; taking the later arc (2, 1) would not.
+        root = np.array([-1e308, -1e308, 1e308])
+        arc = np.array([
+            [-np.inf, 1e308, 0.0],
+            [-np.inf, -np.inf, 1.0],
+            [-np.inf, -1.0, -np.inf],
+        ])
+        w = WeightMatrix(Criterion.ML, root, arc)
+        with pytest.raises(OverflowError):
+            reference.learn_optimal_spanning_tree(w)
+        _assert_matches_reference(w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(w=weight_matrices())
+    def test_drawn_matrices(self, w):
+        _assert_matches_reference(w)
+
+
+def _finite(w):
+    return WeightMatrix(
+        w.criterion, w.root, np.where(np.isfinite(w.arc), w.arc, 0.0)
+    )
+
+
+class TestNetworkxCrossCheck:
+    """Optimal scores agree with networkx's Edmonds on finite matrices."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(w=weight_matrices().map(_finite))
+    def test_branching_matches_maximum_branching(self, w):
+        networkx = pytest.importorskip("networkx")
+        n = w.num_variables
+        graph = networkx.DiGraph()
+        graph.add_nodes_from(range(n))
+        for u, v in itertools.permutations(range(n), 2):
+            graph.add_edge(u, v, weight=float(w.arc[u, v] - w.root[v]))
+        best = networkx.maximum_branching(graph)
+        expected = math.fsum(w.root) + math.fsum(
+            graph[u][v]["weight"] for u, v in best.edges
+        )
+        _, score = learn_optimal_branching(w)
+        assert score == pytest.approx(expected, rel=1e-9, abs=1e-6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(w=weight_matrices().map(_finite))
+    def test_spanning_tree_matches_maximum_spanning_arborescence(self, w):
+        networkx = pytest.importorskip("networkx")
+        n = w.num_variables
+        totals = []
+        for r in range(n):
+            # No arc enters r, so every spanning arborescence is rooted there.
+            graph = networkx.DiGraph()
+            graph.add_nodes_from(range(n))
+            for u, v in itertools.permutations(range(n), 2):
+                if v != r:
+                    graph.add_edge(u, v, weight=float(w.arc[u, v]))
+            best = networkx.maximum_spanning_arborescence(graph)
+            totals.append(math.fsum(
+                [w.root[r], *(w.arc[u, v] for u, v in best.edges)]
+            ))
+        _, score = learn_optimal_spanning_tree(w)
+        assert score == pytest.approx(max(totals), rel=1e-9, abs=1e-6)
+
+
+class TestNoRecursion:
+    def test_deep_nesting_under_a_low_recursion_limit(self):
+        w = _nested(150)
+        expected = reference.learn_optimal_branching(w)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            result = learn_optimal_branching(w)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result == expected
+
+    def test_memory_is_quadratic(self):
+        n = 300
+        w = _nested(n)
+        tracemalloc.start()
+        try:
+            learn_optimal_branching(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * (n + 1) ** 2
