@@ -37,9 +37,7 @@ from .path_learn import (
 from .reduction import (
     EDGE_BLOCK,
     NONEDGE_BLOCK,
-    ConditionCheck,
     HpDecision,
-    ReductionConstants,
     ReductionReport,
     decide_hp,
     expected_pair_table,
@@ -62,7 +60,6 @@ from .structures import (
     brute_force_hp,
     is_hamiltonian_path,
     load_graph,
-    path_from_parent_map,
     write_graph,
 )
 from .tree_learn import (
@@ -75,7 +72,6 @@ from .tree_learn import (
 __all__ = [
     "__version__",
     "Branching",
-    "ConditionCheck",
     "Criterion",
     "EDGE_BLOCK",
     "NONEDGE_BLOCK",
@@ -91,7 +87,6 @@ __all__ = [
     "PathSearchResult",
     "PathStructure",
     "PathgmError",
-    "ReductionConstants",
     "ReductionMismatchError",
     "ReductionReport",
     "ScoreValue",
@@ -114,7 +109,6 @@ __all__ = [
     "local_score_bayes",
     "local_score_mdl",
     "local_score_ml",
-    "path_from_parent_map",
     "path_score",
     "score_structure",
     "solve_path_exact",

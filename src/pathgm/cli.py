@@ -272,9 +272,10 @@ def _run_decide_hp(ns: argparse.Namespace) -> dict:
     reports = []
     for criterion in _criteria(ns):
         decision = decide_hp(g, criterion, exact_limit=ns.exact_limit)
-        entry = decision.report.to_json_dict(
-            decision="yes" if decision.has_path else "no",
-            witness=decision.witness,
+        entry = decision.report.to_json_dict()
+        entry["decision"] = "yes" if decision.has_path else "no"
+        entry["witness"] = (
+            None if decision.witness is None else list(decision.witness)
         )
         entry["optimal_score"] = (
             decision.search.best_score if decision.search is not None else None

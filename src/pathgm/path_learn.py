@@ -81,16 +81,21 @@ def _finish(
     )
 
 
-def solve_path_exact(
-    weights: WeightMatrix, limit: int = EXACT_DEFAULT_LIMIT
-) -> PathSearchResult:
-    """Provably optimal path via the subset dynamic program."""
-    n = weights.num_variables
+def check_exact_limit(n: int, limit: int) -> None:
+    """Refuse an exact path search over more than ``limit`` vertices."""
     if n > limit:
         raise SolverLimitError(
             f"exact path search limited to {limit} vertices, got {n}; "
             "use the heuristic for larger instances"
         )
+
+
+def solve_path_exact(
+    weights: WeightMatrix, limit: int = EXACT_DEFAULT_LIMIT
+) -> PathSearchResult:
+    """Provably optimal path via the subset dynamic program."""
+    n = weights.num_variables
+    check_exact_limit(n, limit)
     # best[v, S]: best score of a path over the vertex set S that ends at v.
     full = 1 << n
     best = np.full((n, full), -np.inf)
@@ -263,14 +268,16 @@ def solve_path_heuristic(
         raise ValueError("restarts must be a positive integer")
     n = weights.num_variables
     rng = random.Random(seed)
-    starts: List[List[int]] = [_greedy_order(weights, s) for s in range(n)]
-    for _ in range(restarts):
-        shuffled = list(range(n))
-        rng.shuffle(shuffled)
-        starts.append(shuffled)
     screen = _MoveScreen(weights)
-    best_order, best_score = _local_search(screen, starts[0])
-    for start in starts[1:]:
+    best_order, best_score = _local_search(screen, _greedy_order(weights, 0))
+    # Greedy starts from every vertex, then the random restarts, each built
+    # just before its search so memory does not grow with ``restarts``.
+    for k in range(1, n + restarts):
+        if k < n:
+            start = _greedy_order(weights, k)
+        else:
+            start = list(range(n))
+            rng.shuffle(start)
         order, score = _local_search(screen, start)
         if score > best_score:
             best_order, best_score = order, score

@@ -23,17 +23,19 @@ score-level decision against the structural witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .dataset import DiscreteDataset, compute_stats
+from .dataset import DiscreteDataset
 from .errors import (
     InstanceTooSmallError,
     InvalidQueryError,
     ReductionMismatchError,
 )
-from .path_learn import EXACT_DEFAULT_LIMIT, PathSearchResult, solve_path_exact
+from .path_learn import (
+    EXACT_DEFAULT_LIMIT, PathSearchResult, check_exact_limit, solve_path_exact,
+)
 from .scoring import Criterion, CriterionLike
 from .structures import HpInstance, is_hamiltonian_path
 from .tree_learn import WeightMatrix, build_weights
@@ -56,6 +58,11 @@ def generate_reduction(g: HpInstance) -> DiscreteDataset:
         raise InstanceTooSmallError(
             f"reduction needs at least 2 vertices, got {n}"
         )
+    # 4n(n-1) cases of n int64 cells; past the address range numpy would
+    # fail with a ValueError instead of a MemoryError.
+    size = 32 * n * n * (n - 1)
+    if size > np.iinfo(np.intp).max:
+        raise MemoryError(f"the reduction of {n} vertices needs {size} bytes")
     rows = np.zeros((4 * n * (n - 1), n), dtype=np.int64)
     at = 0
     for i in range(n):
@@ -84,22 +91,14 @@ def expected_pair_table(g: HpInstance, i: int, j: int) -> np.ndarray:
     return table
 
 
-def _observed_pair_table(data: DiscreteDataset, i: int, j: int) -> np.ndarray:
-    stats = compute_stats(data, j, (i,))
-    table = np.zeros(
-        (data.cardinalities[i], data.cardinalities[j]), dtype=np.int64
-    )
-    for (vj, config), count in stats.joint_counts.items():
-        table[config[0], vj] = count
-    return table
-
-
 @dataclass(frozen=True)
-class ReductionConstants:
-    """Measured score constants of a reduction dataset.
+class ReductionReport:
+    """Everything ``verify_reduction`` measured, failures included.
 
-    ``alpha``/``beta`` are None when the graph has no non-edge/edge pair to
-    measure them on; ``k`` needs ``beta``.
+    ``alpha`` is None when the graph has no non-adjacent pair to measure it
+    on, and ``beta`` when it has no edge. ``k`` needs ``beta``, and
+    ``separation`` (beta - alpha) needs both. ``conditions`` maps each of
+    "i".."v" to whether it held.
     """
 
     criterion: Criterion
@@ -107,46 +106,23 @@ class ReductionConstants:
     alpha: Optional[float]
     beta: Optional[float]
     k: Optional[float]
-
-
-@dataclass(frozen=True)
-class ConditionCheck:
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class ReductionReport:
-    """Everything ``verify_reduction`` measured, failures included."""
-
-    criterion: Criterion
-    constants: ReductionConstants
-    conditions: Dict[str, ConditionCheck]
-    count_table_ok: bool
+    conditions: Dict[str, bool]
     separation: Optional[float]
+    count_table_ok: bool
 
     def all_conditions_passed(self) -> bool:
-        return all(check.passed for check in self.conditions.values())
+        return all(self.conditions.values())
 
-    def to_json_dict(
-        self,
-        decision: Optional[str] = None,
-        witness: Optional[Sequence[int]] = None,
-    ) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        """The report keys that ``verify`` and ``decide-hp`` share."""
+        return {
             "criterion": self.criterion.value,
-            "gamma": self.constants.gamma,
-            "alpha": self.constants.alpha,
-            "beta": self.constants.beta,
-            "k": self.constants.k,
-            "conditions": {
-                name: check.passed for name, check in self.conditions.items()
-            },
+            "gamma": self.gamma,
+            "alpha": self.alpha,
+            "beta": self.beta,
+            "k": self.k,
+            "conditions": dict(self.conditions),
         }
-        if decision is not None:
-            out["decision"] = decision
-            out["witness"] = None if witness is None else [int(v) for v in witness]
-        return out
 
 
 def _cluster(values: List[float], tol: float) -> List[List[float]]:
@@ -218,91 +194,63 @@ def _measure(
     beta = pair[edge_pairs[0]] if edge_pairs else None
     alpha = pair[nonedge_pairs[0]] if nonedge_pairs else None
 
-    conditions: Dict[str, ConditionCheck] = {}
+    conditions: Dict[str, bool] = {}
 
-    cards = set(data.cardinalities)
-    conditions["i"] = ConditionCheck(
-        passed=len(cards) == 1,
-        detail=f"cardinalities {sorted(cards)}",
-    )
+    conditions["i"] = len(set(data.cardinalities)) == 1
 
     spread = max(marginals) - min(marginals) if marginals else 0.0
-    conditions["ii"] = ConditionCheck(
-        passed=spread <= tol,
-        detail=f"no-parent score spread {spread:.3e} (tol {tol:.3e})",
-    )
+    conditions["ii"] = spread <= tol
 
     clusters = _cluster(list(pair.values()), tol)
     if edge_pairs and nonedge_pairs:
-        sep_ok = beta - alpha > tol
-        passed_iii = len(clusters) == 2 and sep_ok
-        detail_iii = (
-            f"{len(clusters)} score band(s), beta - alpha = {beta - alpha:.6e}"
-        )
+        conditions["iii"] = len(clusters) == 2 and beta - alpha > tol
     else:
-        passed_iii = len(clusters) <= 1
-        detail_iii = (
-            f"{len(clusters)} score band(s), single pair type present"
-            if pair
-            else "no pairs"
-        )
-    conditions["iii"] = ConditionCheck(passed=passed_iii, detail=detail_iii)
+        conditions["iii"] = len(clusters) <= 1
 
     asym = 0.0
     for i in range(n):
         for j in range(i + 1, n):
             asym = max(asym, abs(pair[(i, j)] - pair[(j, i)]))
-    conditions["iv"] = ConditionCheck(
-        passed=asym <= tol,
-        detail=f"max direction asymmetry {asym:.3e} (tol {tol:.3e})",
-    )
+    conditions["iv"] = asym <= tol
 
     v_ok = True
-    worst = 0.0
     for i, j in edge_pairs:
         dev = max(abs(pair[(i, j)] - beta), abs(pair[(j, i)] - beta))
-        worst = max(worst, dev)
         if dev > tol:
             v_ok = False
     for i, j in nonedge_pairs:
         dev = max(abs(pair[(i, j)] - alpha), abs(pair[(j, i)] - alpha))
-        worst = max(worst, dev)
         if dev > tol:
             v_ok = False
         if beta is not None and abs(pair[(i, j)] - beta) <= tol:
             v_ok = False
-    conditions["v"] = ConditionCheck(
-        passed=v_ok,
-        detail=f"max band deviation {worst:.3e} (tol {tol:.3e})",
+    conditions["v"] = v_ok
+
+    # With every cardinality 3, cell (a, b) of a pair's table is the count
+    # of 3a + b.
+    cases = data.cases
+    count_ok = all(c == 3 for c in data.cardinalities) and all(
+        np.array_equal(
+            np.bincount(3 * cases[:, i] + cases[:, j], minlength=9).reshape(3, 3),
+            expected_pair_table(g, i, j),
+        )
+        for i in range(n)
+        for j in range(i + 1, n)
     )
 
     k = gamma + (n - 1) * beta if beta is not None else None
     separation = (
         beta - alpha if beta is not None and alpha is not None else None
     )
-
-    count_ok = all(c == 3 for c in data.cardinalities)
-    if count_ok:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not np.array_equal(
-                    _observed_pair_table(data, i, j),
-                    expected_pair_table(g, i, j),
-                ):
-                    count_ok = False
-                    break
-            if not count_ok:
-                break
-
-    constants = ReductionConstants(
-        criterion=criterion, gamma=gamma, alpha=alpha, beta=beta, k=k
-    )
     return ReductionReport(
         criterion=criterion,
-        constants=constants,
+        gamma=gamma,
+        alpha=alpha,
+        beta=beta,
+        k=k,
         conditions=conditions,
-        count_table_ok=count_ok,
         separation=separation,
+        count_table_ok=count_ok,
     )
 
 
@@ -327,15 +275,16 @@ def decide_hp(
     exactly, and answers yes iff that path walks along graph edges. The
     structural answer is cross-checked against the score test
     (optimal score within tolerance of k); disagreement raises, since on
-    generated data it would mean a broken invariant.
+    generated data it would mean a broken invariant. A graph with edges
+    and more than ``exact_limit`` vertices is refused before any work.
     """
+    if g.edges:
+        check_exact_limit(g.vertex_count, exact_limit)
     data = generate_reduction(g)
     weights = build_weights(criterion, data)
     report = _measure(data, g, weights)
     if not (report.all_conditions_passed() and report.count_table_ok):
-        failed = [
-            name for name, check in report.conditions.items() if not check.passed
-        ]
+        failed = [name for name, ok in report.conditions.items() if not ok]
         raise ReductionMismatchError(
             "generated dataset failed its own verification: "
             f"conditions {failed}, count_table_ok={report.count_table_ok}"
@@ -347,7 +296,7 @@ def decide_hp(
     search = solve_path_exact(weights, limit=exact_limit)
     order = search.best_path.order
     structural = is_hamiltonian_path(g, order)
-    k = report.constants.k
+    k = report.k
     tol = _REL_TOL * max(1.0, abs(k))
     by_score = search.best_score >= k - tol
     if structural != by_score:

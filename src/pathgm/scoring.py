@@ -11,7 +11,8 @@ natural log:
   declared target cardinality. Undefined when N = 0.
 * ``bayes``: log marginal likelihood under a uniform Dirichlet prior. Each
   observed parent configuration c contributes
-  lgamma(r) - lgamma(r + N(c)) + sum_v lgamma(N(v, c) + 1);
+  lgamma(r) - lgamma(r + N(c)) + sum_v lgamma(N(v, c) + 1), with the
+  first difference summed as -sum_{k < N(c)} ln(r + k) when r > 64 N(c);
   unobserved configurations contribute 0 exactly, and the constant factor
   from the structure prior is dropped.
 
@@ -85,10 +86,14 @@ def local_score_bayes(
     """Log marginal likelihood of the local table, uniform Dirichlet prior."""
     stats = compute_stats(data, target, parents)
     r = data.cardinalities[stats.target]
-    terms = [
-        math.lgamma(r) - math.lgamma(r + total)
-        for total in stats.parent_counts.values()
-    ]
+    terms = []
+    for total in stats.parent_counts.values():
+        # lgamma(r) - lgamma(r + total) keeps a relative error of about
+        # eps * r / total, so far above total it is summed term by term.
+        if r > 64 * total:
+            terms.extend(-math.log(r + k) for k in range(total))
+        else:
+            terms.append(math.lgamma(r) - math.lgamma(r + total))
     terms.extend(math.lgamma(count + 1) for count in stats.joint_counts.values())
     return math.fsum(terms)
 

@@ -46,9 +46,6 @@ class PathStructure:
             sets[here] = (prev,)
         return tuple(sets)
 
-    def reversed(self) -> "PathStructure":
-        return PathStructure(tuple(reversed(self.order)))
-
 
 def find_cycle(parent: Mapping[int, Optional[int]]) -> Optional[List[int]]:
     """First cycle met walking up from each vertex in key order, or None.
@@ -109,26 +106,6 @@ class Branching:
     def parent_sets(self) -> Tuple[Tuple[int, ...], ...]:
         return tuple(() if p is None else (p,) for p in self.parent)
 
-    def as_path(self) -> Optional[PathStructure]:
-        """The equivalent path when this branching is a single chain."""
-        n = len(self.parent)
-        child: list = [None] * n
-        for i, p in enumerate(self.parent):
-            if p is None:
-                continue
-            if child[p] is not None:
-                return None
-            child[p] = i
-        roots = self.roots
-        if len(roots) != 1:
-            return None
-        order = [roots[0]]
-        while child[order[-1]] is not None:
-            order.append(child[order[-1]])
-        if len(order) != n:
-            return None
-        return PathStructure(tuple(order))
-
 
 @dataclass(frozen=True)
 class HpInstance:
@@ -159,27 +136,6 @@ class HpInstance:
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
-
-    def neighbors(self, u: int) -> Tuple[int, ...]:
-        out = [b if a == u else a for a, b in self.edges if u in (a, b)]
-        return tuple(sorted(out))
-
-
-def path_from_parent_map(
-    parent_sets: Sequence[Sequence[int]],
-) -> Optional[PathStructure]:
-    """Recognize a parent-set map as a path; None when it is not one."""
-    parents: list = []
-    for ps in parent_sets:
-        ps = tuple(ps)
-        if len(ps) > 1:
-            return None
-        parents.append(ps[0] if ps else None)
-    try:
-        branching = Branching(tuple(parents))
-    except InvalidStructureError:
-        return None
-    return branching.as_path()
 
 
 def is_hamiltonian_path(g: HpInstance, order: Sequence[int]) -> bool:

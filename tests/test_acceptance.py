@@ -151,7 +151,7 @@ def test_criterion_3_condition_suite(capsys):
             report = verify_reduction(data, g, criterion)
             ok &= report.all_conditions_passed()
             ok &= report.count_table_ok
-            ok &= report.constants.alpha < report.constants.beta
+            ok &= report.alpha < report.beta
             ok &= report.separation > 0
             min_separation = min(min_separation, report.separation)
     _emit(
@@ -175,7 +175,7 @@ def test_criterion_4_k_threshold_margins(capsys):
             continue
         for criterion in ALL_CRITERIA:
             decision = decide_hp(g, criterion)
-            k = decision.report.constants.k
+            k = decision.report.k
             opt = decision.search.best_score
             if decision.has_path:
                 yes_count += 1

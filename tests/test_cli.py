@@ -4,7 +4,9 @@ import os
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import pathgm
@@ -280,6 +282,29 @@ class TestPlumbing:
         code = main(["learn-path", "--data", data_file])
         assert_one_line_error(capsys, code, 1)
 
+    @pytest.mark.parametrize("n", [1000000000, 3000000000])
+    @pytest.mark.parametrize("command", ["reduce", "decide-hp"])
+    def test_huge_graph_header_is_out_of_memory(
+        self, capsys, monkeypatch, tmp_path, command, n
+    ):
+        # numpy cannot address these case arrays; the size check must refuse
+        # them without asking numpy for any array.
+        path = tmp_path / "huge.txt"
+        path.write_text(f"{n} 0\n", encoding="utf-8")
+        argv = [command, "--graph", str(path)]
+        if command == "reduce":
+            argv += ["--data-out", str(tmp_path / "out.csv")]
+        monkeypatch.setattr(
+            pathgm.reduction, "np", SimpleNamespace(iinfo=np.iinfo, intp=np.intp)
+        )
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: out of memory: the reduction of {n} vertices needs "
+            f"{32 * n * n * (n - 1)} bytes\n"
+        )
+
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
@@ -373,6 +398,8 @@ class TestDefaults:
             edges = "".join(f"{v} {v + 1}\n" for v in range(20))
             path.write_text(f"21 20\n{edges}", encoding="utf-8")
             argv = [command, "--graph", str(path), "--criterion", "ml"]
+            # ... and before the reduction is generated.
+            monkeypatch.setattr(pathgm.reduction, "np", NoNumpy())
         monkeypatch.setattr(pathgm.path_learn, "np", NoNumpy())
         errors = []
         for extra in ([], ["--exact-limit", "20"]):

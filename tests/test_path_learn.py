@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from pathgm import (
     solve_path_exact,
     solve_path_heuristic,
 )
+from pathgm import path_learn
 from conftest import random_dataset, tree_dataset, weight_matrices
 from reference import solve_path_brute
 from reference import solve_path_exact as reference_exact
@@ -220,6 +222,23 @@ class TestHeuristic:
         w = _random_weights(rng, 4)
         with pytest.raises(ValueError, match="positive"):
             solve_path_heuristic(w, restarts=0)
+
+    def test_starts_are_built_lazily(self, monkeypatch):
+        # With the local search stubbed, only the starts take memory: built
+        # all at once, 20,000 restarts would hold about 2 MB of orders.
+        monkeypatch.setattr(
+            path_learn, "_local_search", lambda screen, order: (order, 0.0)
+        )
+        w = _random_weights(random.Random(43), 6)
+
+        def peak(restarts):
+            tracemalloc.start()
+            solve_path_heuristic(w, restarts=restarts)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return peak
+
+        assert peak(20000) < peak(10) + 100_000
 
     def test_on_dataset_weights(self):
         rng = random.Random(41)

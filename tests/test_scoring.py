@@ -175,6 +175,14 @@ class TestBayes:
             declared_wide, 1, (0,)
         )
 
+    @pytest.mark.parametrize("r", [10**6, 10**12, 10**17])
+    def test_huge_cardinality_does_not_cancel(self, r):
+        # lgamma(r) - lgamma(r + N) loses every digit at r = 10^17.
+        for n in (2, 7):
+            data = DiscreteDataset(("A",), (r,), [[v] for v in range(n)])
+            exact = -math.log(math.prod(range(r, r + n)))
+            assert local_score_bayes(data, 0) == pytest.approx(exact, rel=1e-13)
+
     def test_matches_rational_oracle_on_small_datasets(self):
         rng = random.Random(29)
         for _ in range(60):

@@ -13,7 +13,6 @@ from pathgm import (
     brute_force_hp,
     is_hamiltonian_path,
     load_graph,
-    path_from_parent_map,
     write_graph,
 )
 from pathgm.structures import find_cycle
@@ -37,17 +36,6 @@ class TestPathStructure:
             sets = PathStructure(tuple(order)).parent_sets()
             sizes = sorted(len(s) for s in sets)
             assert sizes == [0] + [1] * (n - 1)
-
-    def test_reversed(self):
-        assert PathStructure((2, 0, 1)).reversed() == PathStructure((1, 0, 2))
-
-    def test_round_trip_through_parent_map(self):
-        rng = random.Random(4)
-        for n in range(1, 9):
-            order = list(range(n))
-            rng.shuffle(order)
-            path = PathStructure(tuple(order))
-            assert path_from_parent_map(path.parent_sets()) == path
 
     def test_rejects_non_permutations(self):
         with pytest.raises(InvalidStructureError):
@@ -91,30 +79,12 @@ class TestBranching:
         with pytest.raises(InvalidStructureError, match="out of range"):
             Branching((None, 7))
 
-    def test_as_path_on_chain(self):
-        b = Branching((None, 0, 1))
-        assert b.as_path() == PathStructure((0, 1, 2))
-
-    def test_as_path_rejects_forest_and_fanout(self):
-        assert Branching((None, None, 1)).as_path() is None
-        assert Branching((None, 0, 0)).as_path() is None
-
-    def test_path_from_parent_map_rejects_wide_sets(self):
-        assert path_from_parent_map(((), (0, 2), (0,))) is None
-        assert path_from_parent_map(((1,), (0,))) is None
-
 
 class TestHpInstance:
     def test_normalizes_edge_orientation(self):
         g = HpInstance(3, frozenset({(2, 0)}))
         assert g.edges == frozenset({(0, 2)})
         assert g.has_edge(0, 2) and g.has_edge(2, 0)
-
-    def test_neighbors_sorted(self):
-        g = HpInstance(4, frozenset({(0, 3), (0, 1), (2, 3)}))
-        assert g.neighbors(0) == (1, 3)
-        assert g.neighbors(3) == (0, 2)
-        assert g.neighbors(1) == (0,)
 
     def test_rejects_bad_edges(self):
         with pytest.raises(InvalidStructureError, match="self-loop"):
